@@ -115,13 +115,6 @@ impl PlacementPlan {
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
     }
-
-    /// Stable content fingerprint (default assignment + per-site
-    /// overrides, site-order independent). Used as a component of the
-    /// fleet's content-addressed measurement-cache keys.
-    pub fn fingerprint(&self) -> hmpt_sim::fingerprint::Fingerprint {
-        hmpt_sim::fingerprint::Fingerprint::of(self)
-    }
 }
 
 #[cfg(test)]

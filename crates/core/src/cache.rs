@@ -6,13 +6,15 @@
 //! ```text
 //! key = ( machine.fingerprint(),   # full platform model
 //!         spec.fingerprint(),      # workload allocations + phases
-//!         plan.fingerprint(),      # realized placement plan
+//!         groups_fp ⊕ config,      # allocation groups + configuration word
 //!         noise_fp ⊕ cell seed )   # noise model + derived cell seed
 //! ```
 //!
 //! Each component is a stable 64-bit content hash
 //! ([`hmpt_sim::fingerprint`]); the composite 256-bit key makes
-//! accidental collisions implausible. Because the key includes the
+//! accidental collisions implausible. The placement plan a cell runs
+//! under is a pure function of spec, groups and configuration, so the
+//! key covers it without building it. Because the key includes the
 //! derived per-cell seed, a hit returns the *bit-identical* outcome the
 //! simulation would have produced — a warmed cache can never change an
 //! analysis result, only skip simulated runs.
@@ -20,8 +22,8 @@
 //! The cache lives in `hmpt_core` (historically it was private to the
 //! `hmpt-fleet` service layer) so any campaign front end — [`Driver`],
 //! the online tuner, sensitivity sweeps, the fleet — can interpose it
-//! through [`CachingExecutor`]. All four key components are memoized
-//! once per campaign by [`CampaignPlan`]; building a cell key costs two
+//! through [`CachingExecutor`]. The four fingerprints are taken once
+//! per campaign by [`CampaignPlan`]; building a cell key costs two
 //! 64-bit hash mixes, not a serialization of the whole object tree.
 //!
 //! Infeasible cells (pool exhaustion under capacity pressure) are cached
@@ -34,7 +36,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use hmpt_sim::fingerprint::Fingerprint;
 use serde::{Deserialize, Serialize};
@@ -42,8 +44,8 @@ use serde::{Deserialize, Serialize};
 use crate::error::TunerError;
 use crate::measure::CellOutcome;
 
-/// Composite content key of one measurement cell: (machine, spec, plan,
-/// cell) fingerprints.
+/// Composite content key of one measurement cell: (machine, spec,
+/// groups ⊕ configuration, noise ⊕ seed) fingerprints.
 pub type CellKey = (Fingerprint, Fingerprint, Fingerprint, Fingerprint);
 
 /// Cache counters (monotonic over the cache's lifetime).
@@ -84,6 +86,14 @@ struct Entry {
     last_used: u64,
 }
 
+/// The `cache.hit` and `cache.miss` counter handles, resolved once per
+/// process: looking a counter up takes the metrics-registry lock, which
+/// a per-lookup fetch would pay on every cell.
+fn hit_miss_counters() -> &'static (hmpt_obs::Counter, hmpt_obs::Counter) {
+    static COUNTERS: OnceLock<(hmpt_obs::Counter, hmpt_obs::Counter)> = OnceLock::new();
+    COUNTERS.get_or_init(|| (hmpt_obs::counter("cache.hit"), hmpt_obs::counter("cache.miss")))
+}
+
 /// Thread-safe content-addressed store of measured cells.
 #[derive(Debug, Default)]
 pub struct MeasurementCache {
@@ -113,18 +123,19 @@ impl MeasurementCache {
     where
         F: FnOnce() -> Result<CellOutcome, TunerError>,
     {
+        let (hit, miss) = hit_miss_counters();
         {
             let mut map = self.map.lock().expect("cache poisoned");
             if let Some(entry) = map.get_mut(&key) {
                 entry.last_used = self.tick();
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                hmpt_obs::counter("cache.hit").incr();
+                hit.incr();
                 return entry.value.clone();
             }
         }
         let outcome = measure();
         self.misses.fetch_add(1, Ordering::Relaxed);
-        hmpt_obs::counter("cache.miss").incr();
+        miss.incr();
         let last_used = self.tick();
         self.map
             .lock()

@@ -18,13 +18,14 @@
 //!   round) and retires a configuration early once the confidence
 //!   interval of its mean runtime is tight enough.
 //!
-//! All four components of a cell's content key are memoized once per
-//! plan ([`Fingerprint`] handles for machine, spec, per-configuration
-//! placement plan, and noise model), so building a key costs two 64-bit
-//! hash mixes instead of re-serializing the full object tree per cell —
-//! that is what makes consulting the
+//! Every cell carries its content key. The four fingerprints behind it
+//! (machine, spec, allocation groups, noise model) are taken once per
+//! plan, and the configuration word and the cell seed are mixed in per
+//! cell. A configuration's placement plan is a pure function of spec,
+//! groups and configuration, so the key never builds one: a key costs
+//! two 64-bit hash mixes, which keeps consulting the
 //! [`MeasurementCache`](crate::cache::MeasurementCache) through a
-//! [`CachingExecutor`](crate::exec::CachingExecutor) effectively free.
+//! [`CachingExecutor`](crate::exec::CachingExecutor) cheap.
 //!
 //! Because cells are seed-deterministic, chunking, caching, parallel
 //! scheduling, and early stopping never change a result's bits — only
@@ -193,8 +194,8 @@ pub struct CellSpec {
     pub rep: usize,
     /// The derived RNG seed ([`CampaignConfig::cell_seed`]).
     pub seed: u64,
-    /// Content key for the measurement cache: (machine, spec, plan,
-    /// noise ⊕ seed) fingerprints.
+    /// Content key for the measurement cache: (machine, spec,
+    /// groups ⊕ configuration, noise ⊕ seed) fingerprints.
     pub key: CellKey,
 }
 
@@ -252,11 +253,11 @@ pub struct CampaignPlan<'a> {
     configs: ConfigSet,
     machine_fp: Fingerprint,
     spec_fp: Fingerprint,
+    groups_fp: Fingerprint,
     noise_fp: Fingerprint,
-    /// Per-configuration placement plan + its fingerprint, built on
-    /// first touch and shared by all the configuration's repetitions
-    /// (and by online probes of the same plan).
-    plans: Mutex<HashMap<u64, Arc<(PlacementPlan, Fingerprint)>>>,
+    /// Per-configuration placement plan for the naive pipeline, built
+    /// on first touch and shared by all the configuration's repetitions.
+    plans: Mutex<HashMap<u64, Arc<PlacementPlan>>>,
     /// Whether [`measure_cell`](Self::measure_cell) may answer through
     /// the batched cold-path kernel. Purely a scheduling choice — the
     /// kernel is bit-identical by contract and the cache keys never see
@@ -318,6 +319,7 @@ impl<'a> CampaignPlan<'a> {
             configs,
             machine_fp: machine.fingerprint(),
             spec_fp: spec.fingerprint(),
+            groups_fp: Fingerprint::of(groups),
             noise_fp: Fingerprint::of(&cfg.noise),
             plans: Mutex::new(HashMap::new()),
             fast_path: true,
@@ -380,62 +382,29 @@ impl<'a> CampaignPlan<'a> {
         self.configs.len() * self.policy.planned_reps(self.cfg.runs_per_config)
     }
 
-    /// The placement plan (and its fingerprint) realizing `config`,
-    /// memoized for the lifetime of the campaign.
-    pub fn plan_for(&self, config: Config) -> Arc<(PlacementPlan, Fingerprint)> {
-        let mut plans = self.plans.lock().expect("plan memo poisoned");
-        Arc::clone(plans.entry(config.0).or_insert_with(|| {
-            let plan = config.plan(self.spec, self.groups);
-            let fp = plan.fingerprint();
-            Arc::new((plan, fp))
-        }))
-    }
-
     /// The cell of one (configuration, repetition) pair, with its
-    /// derived seed and memoized content key.
+    /// derived seed and content key.
     pub fn cell(&self, config: Config, rep: usize) -> CellSpec {
         let seed = self.cfg.cell_seed(config, rep);
-        let plan_fp = self.plan_for(config).1;
         CellSpec {
             config,
             rep,
             seed,
-            key: (self.machine_fp, self.spec_fp, plan_fp, self.noise_fp.combine(seed)),
-        }
-    }
-
-    /// [`Self::cell`], deriving the content key only when the executor
-    /// will read one. Key derivation builds and fingerprints the
-    /// configuration's placement plan — most of a cold campaign's
-    /// non-simulation cost — so executors that never consult a cache
-    /// ([`CellExecutor::consumes_keys`] is false) get a zeroed key
-    /// instead. Keys only feed cache lookups, never the simulation, so
-    /// this is scheduling-only: outcomes are unaffected, and caching
-    /// executors still see the exact on-disk key encoding.
-    fn cell_for(&self, keyed: bool, config: Config, rep: usize) -> CellSpec {
-        if keyed {
-            return self.cell(config, rep);
-        }
-        let zero = Fingerprint::from_raw(0);
-        CellSpec {
-            config,
-            rep,
-            seed: self.cfg.cell_seed(config, rep),
-            key: (zero, zero, zero, zero),
+            key: (
+                self.machine_fp,
+                self.spec_fp,
+                self.groups_fp.combine(config.0),
+                self.noise_fp.combine(seed),
+            ),
         }
     }
 
     /// Lazily enumerate every planned cell, configuration-major /
     /// repetition-minor — the campaign's canonical order.
     pub fn cells(&self) -> impl Iterator<Item = CellSpec> + '_ {
-        self.cells_for(true)
-    }
-
-    fn cells_for(&self, keyed: bool) -> impl Iterator<Item = CellSpec> + '_ {
         let reps = self.policy.planned_reps(self.cfg.runs_per_config);
-        (0..self.configs.len()).flat_map(move |ci| {
-            (0..reps).map(move |rep| self.cell_for(keyed, self.configs.get(ci), rep))
-        })
+        (0..self.configs.len())
+            .flat_map(move |ci| (0..reps).map(move |rep| self.cell(self.configs.get(ci), rep)))
     }
 
     /// Simulate one cell (ignoring any cache; executors interpose
@@ -453,8 +422,14 @@ impl<'a> CampaignPlan<'a> {
     /// resolve, price every phase), bypassing the fast path. The
     /// reference implementation the kernel is verified against.
     pub fn measure_cell_naive(&self, cell: &CellSpec) -> Result<CellOutcome, TunerError> {
-        let plan = self.plan_for(cell.config);
-        measure_cell_with_plan(self.machine, self.spec, &plan.0, cell.config, cell.rep, &self.cfg)
+        let plan = Arc::clone(
+            self.plans
+                .lock()
+                .expect("plan memo poisoned")
+                .entry(cell.config.0)
+                .or_insert_with(|| Arc::new(cell.config.plan(self.spec, self.groups))),
+        );
+        measure_cell_with_plan(self.machine, self.spec, &plan, cell.config, cell.rep, &self.cfg)
     }
 
     /// Evaluate a batch of cells through an executor.
@@ -476,7 +451,7 @@ impl<'a> CampaignPlan<'a> {
         sink: &mut dyn CellSink,
     ) -> Result<(), TunerError> {
         let chunk = chunk.max(1);
-        let mut iter = self.cells_for(exec.consumes_keys());
+        let mut iter = self.cells();
         // An oversized chunk degrades to eager execution; don't let it
         // oversize the buffer too.
         let mut buf: Vec<CellSpec> = Vec::with_capacity(chunk.min(self.planned_cells()));
@@ -504,8 +479,7 @@ impl<'a> CampaignPlan<'a> {
         config: Config,
     ) -> Result<ConfigMeasurement, TunerError> {
         let reps = self.cfg.runs_per_config.max(1);
-        let keyed = exec.consumes_keys();
-        let cells: Vec<CellSpec> = (0..reps).map(|rep| self.cell_for(keyed, config, rep)).collect();
+        let cells: Vec<CellSpec> = (0..reps).map(|rep| self.cell(config, rep)).collect();
         let outcomes = self.run_cells(exec, &cells);
         assemble_config(config, &outcomes)
     }
@@ -578,12 +552,11 @@ impl<'a> CampaignPlan<'a> {
         let mut outcomes: Vec<Vec<CellOutcome>> = vec![Vec::new(); n_cfg];
         let mut executed = 0usize;
         let chunk = chunk.max(1);
-        let keyed = exec.consumes_keys();
 
         for rep in 0..max_reps {
             let round: Vec<(usize, CellSpec)> = (0..n_cfg)
                 .filter(|&ci| state[ci] == State::Active)
-                .map(|ci| (ci, self.cell_for(keyed, self.configs.get(ci), rep)))
+                .map(|ci| (ci, self.cell(self.configs.get(ci), rep)))
                 .collect();
             if round.is_empty() {
                 break;
@@ -759,6 +732,28 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 16);
+    }
+
+    #[test]
+    fn streamed_cells_carry_the_enumerated_keys() {
+        struct Keys(Vec<CellKey>);
+        impl CellSink for Keys {
+            fn accept(
+                &mut self,
+                cell: &CellSpec,
+                _: Result<CellOutcome, TunerError>,
+            ) -> Result<(), TunerError> {
+                self.0.push(cell.key);
+                Ok(())
+            }
+        }
+        let m = xeon_max_9468();
+        let (spec, groups) = mg_groups();
+        let plan = CampaignPlan::new(&m, &spec, &groups, CampaignConfig::default()).unwrap();
+        let mut sink = Keys(Vec::new());
+        plan.stream(&SerialExecutor, 5, &mut sink).unwrap();
+        let enumerated: Vec<CellKey> = plan.cells().map(|c| c.key).collect();
+        assert_eq!(sink.0, enumerated, "a plain executor sees the real content keys");
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! content-addressed [`MeasurementCache`] consult per cell. Caching at
 //! the executor layer (instead of inside one front end) means the
 //! driver, the online tuner, sensitivity sweeps, and the fleet all
-//! share the same cache plumbing.
+//! share the same cache plumbing. Every cell reaches every executor
+//! with its real content key: deriving one costs two hash mixes, so
+//! plain executors simply ignore it.
 //!
 //! This module is the in-tree home of the abstraction so the tuner
 //! pipeline ([`crate::measure`], [`crate::driver`], [`crate::online`],
@@ -209,16 +211,6 @@ pub trait CellExecutor: Sync {
 
     /// Human-readable label for reports.
     fn describe(&self) -> String;
-
-    /// Whether this executor reads [`CellSpec::key`]. Deriving a key is
-    /// the expensive part of building a cell — it constructs and
-    /// fingerprints the configuration's placement plan — so campaign
-    /// code skips derivation for executors that never consult a cache.
-    /// The default is the conservative answer: custom executors get
-    /// real keys unless they opt out.
-    fn consumes_keys(&self) -> bool {
-        true
-    }
 }
 
 /// Every index-level executor evaluates cells by index.
@@ -237,19 +229,14 @@ impl<E: RunExecutor> CellExecutor for E {
     fn describe(&self) -> String {
         self.label()
     }
-
-    // Index-level executors dispatch by position and never look at a
-    // cell's content key, so the campaign can skip deriving one.
-    fn consumes_keys(&self) -> bool {
-        false
-    }
 }
 
 /// A [`CellExecutor`] adapter that consults a shared
 /// [`MeasurementCache`] before (and populates it after) every cell the
 /// wrapped executor evaluates. Because a cell's key covers everything
-/// the simulation depends on — machine, spec, plan, noise ⊕ seed — a
-/// hit returns the bit-identical outcome the run would have produced.
+/// the simulation depends on — machine, spec, groups ⊕ configuration,
+/// noise ⊕ seed — a hit returns the bit-identical outcome the run
+/// would have produced.
 #[derive(Debug, Clone)]
 pub struct CachingExecutor<E: RunExecutor = ExecutorKind> {
     inner: E,
@@ -288,12 +275,6 @@ impl<E: RunExecutor> CellExecutor for CachingExecutor<E> {
 
     fn describe(&self) -> String {
         format!("{}+cache", self.inner.label())
-    }
-
-    // The whole point of this wrapper is the key lookup: cells must
-    // arrive with their real content keys.
-    fn consumes_keys(&self) -> bool {
-        true
     }
 }
 

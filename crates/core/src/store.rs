@@ -1,11 +1,15 @@
 //! Persistent snapshots of the content-addressed measurement cache.
 //!
 //! The [`MeasurementCache`] is keyed purely by *content* — stable
-//! 64-bit fingerprints of (machine, spec, plan, noise ⊕ seed) — so its
-//! entries survive a process boundary by construction: nothing in a
-//! cached cell refers to live objects. This module gives the cache a
-//! durable form, which is what lets fleet batches, scenario matrices,
-//! and CI runs warm-start instead of re-simulating from cold.
+//! 64-bit fingerprints of (machine, spec, groups ⊕ configuration,
+//! noise ⊕ seed) — so its entries survive a process boundary by
+//! construction: nothing in a cached cell refers to live objects. This
+//! module gives the cache a durable form, which is what lets fleet
+//! batches, scenario matrices, and CI runs warm-start instead of
+//! re-simulating from cold. [`preload`] is the warm start the fleet, the
+//! request API and the campaign service share, and [`write_atomic`] is
+//! the temp-file + rename that snapshots, the service's queue and
+//! reports, and the campaign warehouse are written through.
 //!
 //! ## Snapshot format (version 1)
 //!
@@ -86,7 +90,11 @@ pub const FORMAT_VERSION: u32 = 1;
 /// v2: the N-pool generalization widened `Config` to a 64-bit word and
 /// made machine fingerprints cover the pool vector, so keys written by
 /// v1 binaries must not be compared against live keys.
-pub const SEMANTICS_VERSION: u32 = 2;
+///
+/// v3: the third key component is the allocation groups' fingerprint
+/// combined with the configuration word, no longer the fingerprint of
+/// the placement plan built from them.
+pub const SEMANTICS_VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 32;
 const RECORD_LEN: usize = 64;
@@ -352,18 +360,25 @@ pub fn from_bytes(bytes: &[u8], cache: &MeasurementCache) -> Result<LoadReport, 
     Ok(report)
 }
 
-/// Write the cache to `path` atomically (temp file + rename, so a
-/// concurrent reader never observes a half-written snapshot).
+/// Write `bytes` to `path` through a same-directory temp file + rename,
+/// so a concurrent reader never observes a half-written file and a
+/// crash leaves either the old file or the new one. A failed write or
+/// rename removes the temp file.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    let result = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    result
+}
+
+/// Write the cache to `path` atomically ([`write_atomic`]).
 pub fn save(cache: &MeasurementCache, path: impl AsRef<Path>) -> Result<SaveReport, StoreError> {
-    let path = path.as_ref();
     let _span = hmpt_obs::span("store.save");
     let (bytes, report) = to_bytes(cache);
     hmpt_obs::counter("store.bytes_written").add(bytes.len() as u64);
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    if let Err(e) = fs::write(&tmp, &bytes).and_then(|()| fs::rename(&tmp, path)) {
-        let _ = fs::remove_file(&tmp);
-        return Err(e.into());
-    }
+    write_atomic(path.as_ref(), &bytes)?;
     Ok(report)
 }
 
@@ -377,6 +392,42 @@ pub fn load_into(
     let bytes = fs::read(path)?;
     hmpt_obs::counter("store.bytes_read").add(bytes.len() as u64);
     from_bytes(&bytes, cache)
+}
+
+/// Warm-start `cache` from the snapshot at `path`, if the file exists,
+/// and return how many cells it loaded. An unusable snapshot (foreign
+/// format or key semantics, header damage, I/O failure) is a cold
+/// start, not an error; it and a partial recovery are reported as
+/// `target` warnings naming `subject` — a warm start that silently
+/// re-simulates from cold is just an unexplained slow run.
+pub fn preload(cache: &MeasurementCache, path: &Path, target: &'static str, subject: &str) -> u64 {
+    if !path.exists() {
+        return 0;
+    }
+    match load_into(cache, path) {
+        Ok(report) => {
+            if report.skipped > 0 || report.truncated {
+                hmpt_obs::warn(
+                    target,
+                    format!(
+                        "{subject} {} partially recovered ({} cells loaded, {} skipped{})",
+                        path.display(),
+                        report.loaded,
+                        report.skipped,
+                        if report.truncated { ", truncated" } else { "" }
+                    ),
+                );
+            }
+            report.loaded
+        }
+        Err(e) => {
+            hmpt_obs::warn(
+                target,
+                format!("{subject} {} ignored (cold start): {e}", path.display()),
+            );
+            0
+        }
+    }
 }
 
 /// Load a snapshot into a fresh cache.
@@ -452,10 +503,7 @@ pub fn merge_bytes(
 /// Fold every entry of `src` into `dst` through the snapshot wire
 /// format (serialize with [`to_bytes`], absorb with [`merge_bytes`]),
 /// so the fold exercises the same checksummed record path as a file
-/// round-trip and inherits its last-write-wins collision rule. This is
-/// the coordinator's cross-job fold: a finished job's private cache is
-/// folded into the shared persistent cache so the next job's boundary
-/// cells hit instead of re-simulating.
+/// round-trip and inherits its last-write-wins collision rule.
 pub fn fold(dst: &MeasurementCache, src: &MeasurementCache) -> LoadReport {
     let (bytes, _) = to_bytes(src);
     merge_bytes(dst, &[&bytes]).expect("snapshot bytes from to_bytes always parse")
@@ -488,6 +536,17 @@ mod tests {
         );
         cache.insert(key(13, 14, 15, 16), Err(TunerError::EmptyWorkload));
         cache
+    }
+
+    /// Snapshot bytes with the header's version fields rewritten and its
+    /// checksum recomputed, as a writer of that version would stamp them.
+    fn restamped(bytes: &[u8], format: u32, semantics: u32) -> Vec<u8> {
+        let mut b = bytes.to_vec();
+        b[8..12].copy_from_slice(&format.to_le_bytes());
+        b[12..16].copy_from_slice(&semantics.to_le_bytes());
+        let sum = checksum(&b[..HEADER_LEN - 8]);
+        b[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+        b
     }
 
     fn assert_same_entries(a: &MeasurementCache, b: &MeasurementCache) {
@@ -658,22 +717,17 @@ mod tests {
 
         // …while a *consistent* foreign version (checksum recomputed, as
         // a future writer would) is named precisely.
-        let reversion = |format: u32, semantics: u32| {
-            let mut b = bytes.clone();
-            b[8..12].copy_from_slice(&format.to_le_bytes());
-            b[12..16].copy_from_slice(&semantics.to_le_bytes());
-            let sum = checksum(&b[..HEADER_LEN - 8]);
-            b[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
-            b
-        };
+        let reversion = |format: u32, semantics: u32| restamped(&bytes, format, semantics);
         assert!(matches!(
             from_bytes(&reversion(FORMAT_VERSION + 1, SEMANTICS_VERSION), &MeasurementCache::new()),
             Err(StoreError::UnsupportedFormat { found }) if found == FORMAT_VERSION + 1
         ));
-        assert!(matches!(
-            from_bytes(&reversion(FORMAT_VERSION, SEMANTICS_VERSION + 1), &MeasurementCache::new()),
-            Err(StoreError::SemanticsMismatch { found }) if found == SEMANTICS_VERSION + 1
-        ));
+        for semantics in [SEMANTICS_VERSION - 1, SEMANTICS_VERSION + 1] {
+            assert!(matches!(
+                from_bytes(&reversion(FORMAT_VERSION, semantics), &MeasurementCache::new()),
+                Err(StoreError::SemanticsMismatch { found }) if found == semantics
+            ));
+        }
 
         assert!(matches!(
             from_bytes(&bytes[..HEADER_LEN - 3], &MeasurementCache::new()),
@@ -699,6 +753,39 @@ mod tests {
         assert_eq!(merged.len(), 5);
         assert_eq!(merged.get(&key(1, 2, 3, 4)).unwrap().unwrap().time_s, 1.25);
         assert_eq!(merged.get(&key(21, 22, 23, 24)).unwrap().unwrap().time_s, 9.0);
+    }
+
+    #[test]
+    fn preload_warm_starts_what_it_can_and_cold_starts_the_rest() {
+        let path = std::env::temp_dir().join(format!("hmpt-preload-{}.bin", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let cache = MeasurementCache::new();
+        assert_eq!(preload(&cache, &path, "test", "snapshot"), 0, "no file: cold start");
+
+        let (mut bytes, _) = to_bytes(&sample_cache());
+        bytes[HEADER_LEN + RECORD_LEN + 40] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(preload(&cache, &path, "test", "snapshot"), 3, "damaged record skipped");
+
+        // A snapshot written under the previous key semantics.
+        std::fs::write(&path, restamped(&bytes, FORMAT_VERSION, SEMANTICS_VERSION - 1)).unwrap();
+        let cold = MeasurementCache::new();
+        assert_eq!(preload(&cold, &path, "test", "snapshot"), 0, "foreign semantics: cold start");
+        assert!(cold.is_empty());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_rename_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("hmpt-atomic-{}", std::process::id()));
+        let target = dir.join("occupied");
+        std::fs::create_dir_all(&target).unwrap();
+        // Renaming a file onto an existing directory fails.
+        assert!(write_atomic(&target, b"payload").is_err());
+        let left: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, vec![std::ffi::OsString::from("occupied")], "temp file left behind");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -316,40 +316,9 @@ fn execute_matrix(resolved: ResolvedMatrix, fingerprint: String) -> Result<Respo
     let _span = hmpt_obs::span("api.matrix");
     let ResolvedMatrix { matrix, config, verify, cache_file, cache_max_records, shard } = resolved;
     let cache = Arc::new(MeasurementCache::new());
-    let mut preloaded = 0;
-    if let Some(path) = cache_file.as_ref().filter(|p| p.exists()) {
-        // An unusable snapshot is a cold start, not an error — parity
-        // with `Fleet::with_cache`, including the diagnostics: a CI
-        // warm-start that silently re-simulates from cold is just an
-        // unexplained slow run.
-        match store::load_into(&cache, path) {
-            Ok(report) => {
-                preloaded = report.loaded;
-                if report.skipped > 0 || report.truncated {
-                    hmpt_obs::warn(
-                        "fleet.cache",
-                        format!(
-                            "hmpt-fleet: cache snapshot {} partially recovered \
-                             ({} cells loaded, {} skipped{})",
-                            path.display(),
-                            report.loaded,
-                            report.skipped,
-                            if report.truncated { ", truncated" } else { "" }
-                        ),
-                    );
-                }
-            }
-            Err(e) => {
-                hmpt_obs::warn(
-                    "fleet.cache",
-                    format!(
-                        "hmpt-fleet: ignoring cache snapshot {} (cold start): {e}",
-                        path.display()
-                    ),
-                );
-            }
-        }
-    }
+    let preloaded = cache_file.as_ref().map_or(0, |path| {
+        store::preload(&cache, path, "fleet.cache", "hmpt-fleet: cache snapshot")
+    });
     let save = |cache: &MeasurementCache| -> Option<String> {
         let path = cache_file.as_ref()?;
         if let Some(max) = cache_max_records {

@@ -230,38 +230,12 @@ impl Fleet {
     /// semantics, header damage) is reported and treated as a cold
     /// start.
     pub fn with_cache(cfg: FleetConfig, cache: Arc<MeasurementCache>) -> Self {
-        let mut preloaded = 0;
-        if cfg.cache_enabled {
-            if let Some(path) = cfg.cache_path.as_ref().filter(|p| p.exists()) {
-                match store::load_into(&cache, path) {
-                    Ok(report) => {
-                        preloaded = report.loaded;
-                        if report.skipped > 0 || report.truncated {
-                            hmpt_obs::warn(
-                                "fleet.cache",
-                                format!(
-                                    "hmpt-fleet: cache snapshot {} partially recovered \
-                                     ({} cells loaded, {} skipped{})",
-                                    path.display(),
-                                    report.loaded,
-                                    report.skipped,
-                                    if report.truncated { ", truncated" } else { "" }
-                                ),
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        hmpt_obs::warn(
-                            "fleet.cache",
-                            format!(
-                                "hmpt-fleet: ignoring cache snapshot {} (cold start): {e}",
-                                path.display()
-                            ),
-                        );
-                    }
-                }
+        let preloaded = match cfg.cache_path.as_ref() {
+            Some(path) if cfg.cache_enabled => {
+                store::preload(&cache, path, "fleet.cache", "hmpt-fleet: cache snapshot")
             }
-        }
+            _ => 0,
+        };
         Fleet { cfg, cache, preloaded }
     }
 

@@ -13,8 +13,9 @@
 //! The same discipline as `hmpt_core::store`, transposed onto JSONL:
 //!
 //! * **Atomic writes** — every file (record payloads and the index) is
-//!   written to a `*.tmp.<pid>` sibling and renamed into place, so a
-//!   concurrent reader never observes a half-written file.
+//!   written through [`hmpt_core::store::write_atomic`]: a `*.tmp.<pid>`
+//!   sibling renamed into place, so a concurrent reader never observes
+//!   a half-written file.
 //! * **Per-line checksums** — each index line starts with a 16-hex-digit
 //!   `StableHasher` checksum of the entry JSON that follows. A damaged
 //!   or truncated line fails its checksum and is skipped *individually*;
@@ -35,6 +36,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use hmpt_core::store;
 use hmpt_sim::fingerprint::StableHasher;
 use serde::{Deserialize, Serialize};
 
@@ -132,14 +134,6 @@ fn checksum(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Write `bytes` to `path` atomically (temp file + rename — same move
-/// as `hmpt_core::store::save`).
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)
-}
-
 /// Only filename-safe bytes survive into record filenames; everything
 /// else becomes `-`. Identity lives in the index entry, not the name.
 fn sanitize(s: &str) -> String {
@@ -223,7 +217,7 @@ impl Warehouse {
             record.revision
         );
         let payload = record.to_json_string();
-        write_atomic(&self.dir.join(&file), payload.as_bytes())?;
+        store::write_atomic(&self.dir.join(&file), payload.as_bytes())?;
 
         let entry = IndexEntry {
             fingerprint: record.spec_fingerprint.clone(),
@@ -238,7 +232,7 @@ impl Warehouse {
             index.push_str(&encode_index_line(e));
             index.push('\n');
         }
-        write_atomic(&self.index_path(), index.as_bytes())?;
+        store::write_atomic(&self.index_path(), index.as_bytes())?;
         Ok(entry)
     }
 

@@ -10,24 +10,22 @@
 //!   reports/job-<id>.json   # merged MatrixReport per completed job
 //! ```
 //!
-//! Every mutation persists through the store's temp + rename idiom
-//! before the verb answers, so a crash at any instant loses at most the
-//! frame being processed; [`Coordinator::open`] reloads the snapshot
-//! and re-queues whatever was mid-flight (the state machine's adopt
-//! edge).
+//! Every mutation persists through [`store::write_atomic`] before the
+//! verb answers, so a crash at any instant loses at most the frame
+//! being processed; [`Coordinator::open`] reloads the snapshot and
+//! re-queues whatever was mid-flight (the state machine's adopt edge).
 //!
 //! The shared cache is the service's reason to exist as a *daemon*
-//! rather than a loop around `hmpt-fleet run`: each job executes
-//! against a private cache seeded from the shared one
-//! ([`hmpt_core::store::fold`]), and its delta is folded back after the
-//! merge — so two jobs whose scenario matrices overlap (the PR 4
-//! boundary-cell case) simulate their shared cells exactly once,
-//! service-lifetime-wide. The effect is visible in
-//! [`JobStats`]: a re-submission of a measured spec reports
-//! `simulated_cells == 0`.
+//! rather than a loop around `hmpt-fleet run`: every job's shard
+//! workers read and write it directly, so two jobs whose scenario
+//! matrices overlap simulate their shared cells exactly once,
+//! service-lifetime-wide. Keys are content addresses, so a cell a job
+//! measured stays valid even if that job later fails, and the runner
+//! executes one job at a time. The effect is visible in [`JobStats`]: a
+//! re-submission of a measured spec reports `simulated_cells == 0`.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -149,19 +147,7 @@ pub struct Coordinator {
     cfg: CoordinatorConfig,
     inner: Mutex<Inner>,
     work: Condvar,
-    cache: MeasurementCache,
-}
-
-/// Write `bytes` to `path` through a same-directory temp file + rename
-/// — the store's atomicity idiom, reused for queue snapshots and
-/// reports so a crash never leaves a half-written JSON document.
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let result = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+    cache: Arc<MeasurementCache>,
 }
 
 /// Intern a per-tenant counter name: `hmpt_obs` counters key on
@@ -221,32 +207,8 @@ impl Coordinator {
             }
         }
 
-        let cache = MeasurementCache::new();
-        let cache_path = cfg.state_dir.join("cache.bin");
-        if cache_path.exists() {
-            match store::load_into(&cache, &cache_path) {
-                Ok(report) => {
-                    if report.skipped > 0 || report.truncated {
-                        hmpt_obs::warn(
-                            "serve.cache",
-                            format!(
-                                "shared cache {} partially recovered ({} loaded, {} skipped{})",
-                                cache_path.display(),
-                                report.loaded,
-                                report.skipped,
-                                if report.truncated { ", truncated" } else { "" }
-                            ),
-                        );
-                    }
-                }
-                Err(e) => {
-                    hmpt_obs::warn(
-                        "serve.cache",
-                        format!("ignoring shared cache {} (cold start): {e}", cache_path.display()),
-                    );
-                }
-            }
-        }
+        let cache = Arc::new(MeasurementCache::new());
+        store::preload(&cache, &cfg.state_dir.join("cache.bin"), "serve.cache", "shared cache");
 
         hmpt_obs::gauge("queue.depth").set(queue.depth() as u64);
         Ok(Coordinator {
@@ -374,7 +336,7 @@ impl Coordinator {
         self.inner.lock().unwrap().draining
     }
 
-    /// The runner loop: claim → execute → merge → fold → persist, one
+    /// The runner loop: claim → execute → merge → persist, one
     /// job at a time, until drained. Blocks; the daemon calls this on
     /// its main thread while the TCP server answers on its own.
     pub fn run(&self) {
@@ -450,7 +412,7 @@ impl Coordinator {
         let json = serde_json::to_string_pretty(&snapshot)
             .map_err(|e| ServeError::Internal(format!("serialize queue snapshot: {e}")))?;
         let path = self.cfg.state_dir.join("queue.json");
-        write_atomic(&path, json.as_bytes())
+        store::write_atomic(&path, json.as_bytes())
             .map_err(|e| ServeError::Internal(format!("{}: {e}", path.display())))
     }
 
@@ -494,11 +456,17 @@ impl Coordinator {
 
         let started = Instant::now();
         let _job = hmpt_obs::span_with("serve.job", || format!("job {id} {}", record.tenant));
-        let simulated = self.simulate(&record);
-        let (shards, job_cache) = match simulated {
-            Ok(pair) => pair,
+        let before = self.cache.stats();
+        let shards = match self.simulate(&record) {
+            Ok(shards) => shards,
             Err(message) => return self.finish_failed(id, message),
         };
+        // One job runs at a time, so the cache's traffic since `before`
+        // is exactly this job's, and the entries it added are the cells
+        // it simulated however its shards raced. (The shard reports sum
+        // per-shard deltas of the same counters, which over-count
+        // concurrent shards.)
+        let traffic = self.cache.stats().since(&before);
 
         {
             let mut inner = self.inner.lock().unwrap();
@@ -513,7 +481,7 @@ impl Coordinator {
         let merge_started = Instant::now();
         let merged = {
             let _m = hmpt_obs::span_with("serve.merge", || format!("job {id}"));
-            self.merge_and_fold(&record, &shards, &job_cache)
+            self.merge_and_persist(&record, &shards)
         };
         let report = match merged {
             Ok(report) => report,
@@ -522,7 +490,7 @@ impl Coordinator {
         let merge_s = merge_started.elapsed().as_secs_f64();
 
         let json = serde_json::to_string_pretty(&report).expect("matrix reports always serialize");
-        if let Err(e) = write_atomic(&self.report_path(id), json.as_bytes()) {
+        if let Err(e) = store::write_atomic(&self.report_path(id), json.as_bytes()) {
             return self.finish_failed(id, format!("write report: {e}"));
         }
 
@@ -530,8 +498,8 @@ impl Coordinator {
             scenarios: report.stats.scenarios as u64,
             planned_cells: report.stats.planned_cells,
             executed_cells: report.stats.executed_cells,
-            simulated_cells: report.stats.cache.misses,
-            cells_skipped: report.stats.cache.hits,
+            simulated_cells: traffic.entries,
+            cells_skipped: (traffic.hits + traffic.misses).saturating_sub(traffic.entries),
             wall_s: started.elapsed().as_secs_f64(),
             merge_s,
         };
@@ -546,12 +514,9 @@ impl Coordinator {
         }
     }
 
-    /// Resolve the job's spec and fan it out to the shard workers
-    /// against a private cache seeded from the shared one.
-    fn simulate(
-        &self,
-        record: &JobRecord,
-    ) -> Result<(Vec<ShardReport>, Arc<MeasurementCache>), String> {
+    /// Resolve the job's spec and fan it out to the shard workers over
+    /// the shared cache.
+    fn simulate(&self, record: &JobRecord) -> Result<Vec<ShardReport>, String> {
         let resolved = CampaignSpec::parse(&record.spec)
             .and_then(|spec| spec.resolve())
             .map_err(|e| e.to_string())?;
@@ -560,33 +525,24 @@ impl Coordinator {
             Resolved::Batch(_) => return Err("batch spec reached the runner".into()),
         };
 
-        let job_cache = Arc::new(MeasurementCache::new());
-        let seeded = store::fold(&job_cache, &self.cache);
-        if seeded.loaded > 0 {
-            hmpt_obs::info(
-                "serve.fold",
-                format!("job {}: seeded {} cells from the shared cache", record.id, seeded.loaded),
-            );
-        }
-
         let workers = if self.cfg.workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
             self.cfg.workers
         };
         let shards =
-            run_shards(&matrix, &config, workers, &job_cache).map_err(|e| e.to_string())?;
+            run_shards(&matrix, &config, workers, &self.cache).map_err(|e| e.to_string())?;
         if verify {
             // The spec asked for the bit-identity audit: re-run serial
-            // and uncached, exactly like the offline shard path.
+            // and uncached, exactly like the offline shard path (with
+            // caching off, the shared cache is never consulted).
             let vcfg = MatrixConfig {
                 executor: ExecutorKind::Serial,
                 job_workers: 1,
                 cache_enabled: false,
                 ..config
             };
-            let vcache = Arc::new(MeasurementCache::new());
-            let others = run_shards(&matrix, &vcfg, shards.len(), &vcache)
+            let others = run_shards(&matrix, &vcfg, shards.len(), &self.cache)
                 .map_err(|e| format!("verify re-run: {e}"))?;
             for (a, b) in shards.iter().zip(&others) {
                 if !a.bit_identical(b) {
@@ -594,16 +550,15 @@ impl Coordinator {
                 }
             }
         }
-        Ok((shards, job_cache))
+        Ok(shards)
     }
 
-    /// Fingerprint-validate and merge the shard reports, then fold the
-    /// job's cache delta into the shared cache and persist it.
-    fn merge_and_fold(
+    /// Fingerprint-validate and merge the shard reports, then persist
+    /// the shared cache.
+    fn merge_and_persist(
         &self,
         record: &JobRecord,
         shards: &[ShardReport],
-        job_cache: &MeasurementCache,
     ) -> Result<MatrixReport, String> {
         for shard in shards {
             if shard.matrix_fingerprint != record.fingerprint {
@@ -618,11 +573,6 @@ impl Coordinator {
         if !report.capacity_ok() {
             return Err("scenario exceeds machine capacity".into());
         }
-        let folded = store::fold(&self.cache, job_cache);
-        hmpt_obs::info(
-            "serve.fold",
-            format!("job {}: folded {} cells into the shared cache", record.id, folded.loaded),
-        );
         self.persist_cache();
         Ok(report)
     }

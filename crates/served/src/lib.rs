@@ -15,12 +15,10 @@
 //!   quotas and cancellation.
 //! * [`coordinator`] + [`worker`] — execution: the coordinator owns a
 //!   shared persistent [`hmpt_core::cache::MeasurementCache`]; per job
-//!   it seeds a private cache from the shared one, fans the scenario
-//!   matrix out to shard [`worker`]s, merges the streamed
-//!   `ShardReport`s with the existing fingerprint validation, and folds
-//!   the job's cache delta back via [`hmpt_core::store::fold`] — so a
-//!   second job never re-simulates cells a previous job measured
-//!   (the PR 4 cross-job boundary-cell double-simulation).
+//!   it fans the scenario matrix out to shard [`worker`]s that read and
+//!   write that cache directly, and merges the streamed `ShardReport`s
+//!   with the existing fingerprint validation — so a second job never
+//!   re-simulates cells a previous job measured.
 //!
 //! [`server`] is the accept loop binding [`wire`] to a
 //! [`coordinator::Coordinator`]; [`client`] is the blocking client the

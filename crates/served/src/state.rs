@@ -30,7 +30,7 @@ pub enum JobState {
     Queued,
     /// Shard workers are simulating its scenario matrix.
     Running,
-    /// Shards done; reports are being merged and the cache folded.
+    /// Shards done; reports are being merged and the cache saved.
     Merging,
     /// Merged report on disk; `Report` will serve it.
     Completed,
@@ -98,19 +98,21 @@ impl std::error::Error for StateError {}
 /// Execution accounting carried on a finished job's status.
 /// `simulated_cells` is the number the warm-cache acceptance criteria
 /// watch: a re-submission of an already-measured spec must report 0,
-/// and `cells_skipped` counts what the shared-cache fold saved.
+/// and `cells_skipped` counts what the shared cache saved.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct JobStats {
     pub scenarios: u64,
     pub planned_cells: u64,
     pub executed_cells: u64,
-    /// Cells actually simulated: cache misses during the job.
+    /// Cells the job simulated: the entries it added to the shared
+    /// cache (a cell two shards raced on counts once).
     pub simulated_cells: u64,
-    /// Cells answered by the job's cache (seeded from the shared fold).
+    /// Cache lookups the job's cells made, less `simulated_cells`: the
+    /// lookups the shared cache answered.
     pub cells_skipped: u64,
     /// End-to-end job wall time, seconds (claim → report on disk).
     pub wall_s: f64,
-    /// Of which: merging shard reports + folding the cache, seconds.
+    /// Of which: merging shard reports + saving the cache, seconds.
     pub merge_s: f64,
 }
 

@@ -4,7 +4,7 @@
 //! [`hmpt_core::scenario::ShardSpec`] ranges — exactly the split the
 //! CLI's `--shard K/N`
 //! pipeline uses — and each worker thread runs one range through
-//! `run_matrix_sharded` against the job's shared cache. Finished
+//! `run_matrix_sharded` against the one cache it is handed. Finished
 //! [`ShardReport`]s stream back over a channel as workers complete (the
 //! coordinator's `serve.shards_done` counter ticks per shard), and the
 //! pool returns them shard-ordered for the merge.
@@ -22,8 +22,8 @@ use hmpt_core::error::TunerError;
 use hmpt_core::scenario::{ScenarioMatrix, ShardReport};
 use hmpt_fleet::matrix::{run_matrix_sharded, MatrixConfig};
 
-/// Run `matrix` as `workers` parallel shards against one shared job
-/// cache. Blocks until every shard is done; returns the reports in
+/// Run `matrix` as `workers` parallel shards against one shared cache.
+/// Blocks until every shard is done; returns the reports in
 /// shard order, or the first shard error (remaining shards still run to
 /// completion — their cells stay in the cache for the retry).
 pub fn run_shards(

@@ -1,12 +1,13 @@
 //! Stable content fingerprints for cache keys.
 //!
 //! The fleet's measurement cache is *content-addressed*: a cached cell is
-//! keyed by what was measured (machine model, workload spec, placement
-//! plan, run configuration), not by object identity. [`fingerprint_of`]
-//! derives a stable 64-bit fingerprint from any serializable value by
-//! hashing its serialized value tree — deterministic across runs and
-//! processes (object keys are sorted, floats hash by IEEE bit pattern),
-//! and automatically covering every field a type serializes.
+//! keyed by what was measured (machine model, workload spec, allocation
+//! groups and configuration, noise model and seed), not by object
+//! identity. [`fingerprint_of`] derives a stable 64-bit fingerprint from
+//! any serializable value by hashing its serialized value tree —
+//! deterministic across runs and processes (object keys are sorted,
+//! floats hash by IEEE bit pattern), and automatically covering every
+//! field a type serializes.
 //!
 //! ## Stability contract
 //!
@@ -24,7 +25,7 @@
 //!   encoding ([`fingerprint_of`]),
 //! * the mixing order of [`Fingerprint::combine`],
 //! * which fields the fingerprinted types serialize (a serde rename or
-//!   field addition on `Machine`, `WorkloadSpec`, `PlacementPlan`, or
+//!   field addition on `Machine`, `WorkloadSpec`, `AllocationGroup`, or
 //!   `NoiseModel` moves their fingerprints — that is *correct*, the
 //!   content changed; reordering unrelated hashing internals is not).
 //!
@@ -42,7 +43,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// A computed content fingerprint: a cheap `Copy` handle that can be
 /// passed around, compared, and combined without re-serializing the
 /// value it summarizes. Campaign layers compute one per (machine, spec,
-/// plan, noise model) and reuse it for every cell key.
+/// groups, noise model) and reuse it for every cell key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(u64);
 

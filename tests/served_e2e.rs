@@ -144,8 +144,8 @@ fn overlapping_jobs_share_the_cache_instead_of_resimulating() {
     coordinator.run_until_idle();
     let second_stats = stats_of(&coordinator, second);
 
-    // The overlap (every mg cell) is answered by the fold, so the
-    // second job simulates exactly the cells the first one did not.
+    // The overlap (every mg cell) is answered by the shared cache, so
+    // the second job simulates exactly the cells the first one did not.
     assert_eq!(
         second_stats.simulated_cells,
         cold_stats.simulated_cells - first_stats.simulated_cells,
@@ -235,7 +235,8 @@ fn restart_adopts_queued_and_mid_flight_jobs() {
             serde_json::from_value(&coordinator.report(job).expect("report")).expect("parses");
         assert!(reference.bit_identical(&report), "adopted job {job} diverged");
     }
-    // The adopted (first-run) job simulated; its twin warm-hit the fold.
+    // The adopted (first-run) job simulated; its twin warm-hit the
+    // shared cache.
     assert!(stats_of(&coordinator, interrupted).simulated_cells > 0);
     assert_eq!(stats_of(&coordinator, queued).simulated_cells, 0);
     let _ = std::fs::remove_dir_all(&dir);
