@@ -1,8 +1,9 @@
-//! Scenario-matrix bench: cross-platform matrix throughput with a cold
-//! versus warmed measurement cache, quantifying how much of a matrix's
-//! cost the cross-scenario cell dedup removes (budget rows of one
-//! machine × workload share every campaign cell), plus sequential
-//! versus concurrent scenario execution.
+//! Scenario-matrix bench: cross-platform matrix throughput with a cold,
+//! absent, or warmed measurement cache, plus sequential versus
+//! concurrent campaign execution. The budget rows of one machine ×
+//! workload already read one measured campaign, so a cold run consults
+//! each cell once: cold-cache versus no-cache measures what the cache
+//! costs within a run, and warm-cache what it saves across runs.
 
 use std::sync::Arc;
 
@@ -18,7 +19,7 @@ use std::hint::black_box;
 fn bench(c: &mut Criterion) {
     let zoo = Zoo::parse("xeon-max,hbm-flat,small-hbm").expect("zoo");
     // Eight-group workloads (256-configuration campaigns), so campaign
-    // cells — the part the cache dedups — dominate per-scenario cost.
+    // cells — the part the cache stores — dominate per-campaign cost.
     let workloads = vec![hmpt_workloads::npb::sp::workload(), hmpt_workloads::npb::lu::workload()];
     let matrix =
         ScenarioMatrix::new(zoo, workloads).with_budgets(vec![None, Some(gib(16)), Some(gib(8))]);
@@ -27,14 +28,15 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("scenario");
     g.sample_size(10);
 
-    // Cold: a fresh cache per run — only the within-matrix dedup
-    // (budget rows sharing campaigns) applies.
+    // Cold: a fresh cache per run — every lookup misses, so this is
+    // the cache's key, lookup and insert cost on top of the campaigns.
     g.bench_function("matrix_cold_cache", |b| {
         b.iter(|| black_box(run_matrix(black_box(&matrix), &cfg).expect("matrix")))
     });
 
-    // No cache at all: every budget row re-simulates its campaign —
-    // the baseline the content-addressed cache is measured against.
+    // No cache at all: each campaign is simulated once, as in the
+    // cold run — the baseline the content-addressed cache is measured
+    // against.
     let uncached = MatrixConfig { cache_enabled: false, ..cfg };
     g.bench_function("matrix_no_cache", |b| {
         b.iter(|| black_box(run_matrix(black_box(&matrix), &uncached).expect("matrix")))
@@ -78,7 +80,7 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // Concurrent scenarios over a cold cache (job-level parallelism).
+    // Concurrent campaigns over a cold cache (job-level parallelism).
     let parallel_jobs = MatrixConfig { job_workers: 0, ..cfg };
     g.bench_function(format!("matrix_cold_cache_jobs_x{}", available_workers()).as_str(), |b| {
         b.iter(|| black_box(run_matrix(black_box(&matrix), &parallel_jobs).expect("matrix")))

@@ -11,13 +11,10 @@
 //! O(1) per cell.
 //!
 //! Nothing in this module runs anything. Execution lives with the
-//! fleet (`hmpt_fleet::matrix::run_matrix`), which streams scenarios
-//! through the existing `Fleet`/[`CellExecutor`](crate::exec::CellExecutor)
-//! stack so the shared content-addressed
-//! [`MeasurementCache`](crate::cache::MeasurementCache) dedups campaign
-//! cells across scenarios that share a machine fingerprint — two
-//! budgets of the same (machine, workload) campaign cost one set of
-//! simulated runs.
+//! fleet (`hmpt_fleet::matrix::run_matrix`), which runs each campaign
+//! group ([`ScenarioMatrix::campaigns`]) as one job through the
+//! `Fleet`/[`CellExecutor`](crate::exec::CellExecutor) stack and builds
+//! every budget's row from that job's single analysis.
 //!
 //! The result side is also defined here: [`ScenarioRow`] is one
 //! Table-II-style line per scenario, and [`MatrixReport::assemble`]
@@ -25,10 +22,11 @@
 //! budget-vs-slowdown frontiers, and the allocation groups that stay
 //! HBM-resident across the whole zoo.
 //!
-//! The axis order is budget-innermost on purpose: consecutive scenarios
-//! differ only in budget, which does not change the measurement
-//! campaign — a warmed cache answers every cell of the next budget row
-//! without new simulated runs.
+//! The axis order is budget-innermost on purpose: a budget constrains
+//! the placement decision, not the measurement campaign, so consecutive
+//! scenarios that differ only in budget form one campaign group. Its
+//! `2^|AG|·n` campaign is measured once and every budget row reads its
+//! decision off it, as the paper does (§III.A).
 //!
 //! Because enumeration is O(1)-indexed, the scenario space also
 //! *partitions* trivially: [`ScenarioMatrix::shard`] splits the index
@@ -40,6 +38,7 @@
 //! views from the union of rows.
 
 use std::fmt;
+use std::ops::Range;
 
 use hmpt_sim::fingerprint::{Fingerprint, StableHasher};
 use hmpt_sim::machine::Machine;
@@ -82,7 +81,7 @@ pub struct Scenario {
     /// HBM capacity budget for the placement decision (`None` = the
     /// machine's full HBM). The budget constrains the *plan*, not the
     /// measurement campaign, so scenarios differing only in budget
-    /// share every campaign cell.
+    /// share one campaign ([`ScenarioMatrix::campaigns`]).
     pub budget: Option<Bytes>,
     pub rep_policy: RepPolicy,
     /// Campaign settings with this scenario's noise level applied.
@@ -373,6 +372,16 @@ impl ScenarioMatrix {
         (0..self.len()).map(|i| self.scenario(i))
     }
 
+    /// Split `range` into its campaign groups: runs of consecutive
+    /// scenarios that differ only in budget (the innermost axis) and so
+    /// share one measured campaign. A shard boundary may cut a group.
+    pub fn campaigns(&self, range: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+        let (budgets, start, end) = (self.budgets.len(), range.start, range.end);
+        range
+            .filter(move |&i| i == start || i % budgets == 0)
+            .map(move |i| i..((i / budgets + 1) * budgets).min(end))
+    }
+
     /// Content fingerprint of the matrix *axes* (machines, workloads,
     /// budgets, repetition policies, noise levels, base campaign) —
     /// everything that determines what `scenario(i)` decodes to.
@@ -472,7 +481,7 @@ impl ShardSpec {
     }
 
     /// The scenario indices this shard executes.
-    pub fn range(&self) -> std::ops::Range<usize> {
+    pub fn range(&self) -> Range<usize> {
         self.start..self.end
     }
 }
@@ -508,8 +517,8 @@ pub struct ScenarioRow {
     pub scenario: usize,
     pub coords: ScenarioCoords,
     pub machine: String,
-    /// Content fingerprint of the built machine — rows sharing it share
-    /// campaign cells in the measurement cache.
+    /// Content fingerprint of the built machine, the first word of
+    /// every campaign cell's cache key.
     pub machine_fingerprint: String,
     pub workload: String,
     pub rep_policy: String,
@@ -657,12 +666,12 @@ pub struct ResidentGroups {
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct MatrixStats {
     pub scenarios: usize,
-    /// Campaign cells the scenarios' plans could have executed.
+    /// Sum of the rows' `planned_cells`.
     pub planned_cells: u64,
-    /// Cells actually evaluated (cache hits + simulated runs).
+    /// Sum of the rows' `executed_cells` (a campaign read by k budget rows counts k times).
     pub executed_cells: u64,
-    /// Shared-cache traffic of the whole matrix; `hits > 0` whenever
-    /// two scenarios share a machine fingerprint.
+    /// Shared-cache traffic of the whole matrix (each campaign group
+    /// looks up each of its cells once).
     pub cache: CacheStats,
     pub wall_s: f64,
     pub scenarios_per_s: f64,
@@ -1096,6 +1105,26 @@ mod tests {
         assert_eq!(s0.rep_policy, s1.rep_policy);
         assert_eq!(s0.campaign.noise.cv, s1.campaign.noise.cv);
         assert_ne!(s0.budget, s1.budget);
+    }
+
+    #[test]
+    fn campaign_groups_tile_a_range_at_budget_boundaries() {
+        let m = small_matrix(); // 3 budgets innermost
+        let groups = |r: Range<usize>| m.campaigns(r).collect::<Vec<_>>();
+        assert_eq!(groups(0..7), vec![0..3, 3..6, 6..7]);
+        assert_eq!(groups(1..7), vec![1..3, 3..6, 6..7], "a shard boundary cuts a group");
+        assert_eq!(groups(4..5), vec![4..5]);
+        assert!(groups(3..3).is_empty());
+        // Over the whole matrix, every group is one campaign: its
+        // scenarios differ only in budget, and consecutive groups tile
+        // the index space.
+        let all = groups(0..m.len());
+        assert_eq!(all.len(), m.len() / 3);
+        for (k, g) in all.iter().enumerate() {
+            assert_eq!(*g, 3 * k..3 * k + 3);
+            let coords: Vec<ScenarioCoords> = g.clone().map(|i| m.scenario(i).coords).collect();
+            assert!(coords.iter().all(|c| ScenarioCoords { budget: 0, ..*c } == coords[0]));
+        }
     }
 
     #[test]

@@ -100,7 +100,7 @@ fn usage() -> ! {
          \x20 --no-compare    skip the serial-vs-parallel comparison pass\n\
          \x20 --no-online     skip the online-tuner verification pass\n\
          \x20 --json PATH     write the JSON report to PATH (default: stdout)\n\
-         \x20 --job-workers N concurrent jobs/scenarios (default 1; 0 = auto)\n\
+         \x20 --job-workers N concurrent jobs/campaigns (default 1; 0 = auto)\n\
          \x20 --cache-file P  persistent measurement cache: load the snapshot on\n\
          \x20                 start (if present), save it back on finish\n\
          \x20 --cache-max N   LRU-sweep the cache to N records at save time\n\

@@ -35,9 +35,9 @@
 //!   [`hmpt_core::scenario::ScenarioMatrix`] and the machine zoo
 //!   [`hmpt_sim::zoo`]): lazily enumerated cross-platform campaigns —
 //!   machines × workloads × HBM budgets × repetition policies × noise
-//!   levels — executed through the same fleet stack, so scenarios
-//!   sharing a machine fingerprint dedup their campaign cells in the
-//!   cache. The aggregated [`MatrixReport`] adds cross-machine views:
+//!   levels — executed through the same fleet stack, one job per
+//!   campaign group, so all budget rows read one measured campaign.
+//!   The aggregated [`MatrixReport`] adds cross-machine views:
 //!   speedup-vs-HBM-bandwidth curves, budget-vs-slowdown frontiers,
 //!   and zoo-wide HBM-resident groups.
 //!

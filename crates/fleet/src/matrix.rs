@@ -1,16 +1,17 @@
 //! Scenario-matrix execution: the bridge between the lazy
 //! [`ScenarioMatrix`] IR and the fleet's executor/cache stack.
 //!
-//! [`run_matrix`] streams scenarios in bounded chunks (the matrix is
-//! never materialized), turns each into a [`TuningJob`] — the
-//! scenario's zoo entry built into a validated machine, its noise level
-//! and repetition policy applied — and runs the chunk through a
-//! [`Fleet`] over one shared [`MeasurementCache`]. Because a cell's
-//! cache key starts with the machine fingerprint, every scenario pair
-//! that shares a platform (e.g. two HBM budgets of the same machine ×
-//! workload, which need the *same* campaign) costs one set of simulated
-//! runs; the budget axis is the matrix's innermost, so those pairs are
-//! adjacent in the stream.
+//! The unit of work is the *campaign group*
+//! ([`ScenarioMatrix::campaigns`]): consecutive scenarios that differ
+//! only in HBM budget, the matrix's innermost axis. [`run_matrix`]
+//! turns each group into one [`TuningJob`] — the group's zoo entry
+//! built into a validated machine, its noise level and repetition
+//! policy applied — runs bounded batches of those jobs through a
+//! [`Fleet`] over one shared [`MeasurementCache`] (the matrix is never
+//! materialized), and builds every budget's row from its job's single
+//! analysis. A budget only changes which measured configuration
+//! `plan_exhaustive` picks, so each campaign is profiled, planned and
+//! measured once, however many budget rows read it.
 //!
 //! Execution strategy — serial or parallel cells, sequential or
 //! concurrent jobs, cache on or off — never changes a row's bits
@@ -19,9 +20,10 @@
 //!
 //! The same machinery executes a *shard*: [`run_matrix_sharded`] runs
 //! one index range of the matrix (see [`ScenarioMatrix::shard`]) and
-//! emits a [`ShardReport`]; `MatrixReport::merge` reassembles a
-//! partition's shard reports into the full report, bit-identical to an
-//! unsharded [`run_matrix`]. Combined with an on-disk cache snapshot
+//! emits a [`ShardReport`]; a campaign group split by the shard
+//! boundary runs once in each shard. `MatrixReport::merge` reassembles
+//! a partition's shard reports into the full report, bit-identical to
+//! an unsharded [`run_matrix`]. Combined with an on-disk cache snapshot
 //! (`hmpt_core::store`), this turns a matrix into a distributable
 //! campaign: N processes, N shard files, one merge.
 
@@ -33,7 +35,7 @@ use hmpt_core::error::TunerError;
 use hmpt_core::exec::ExecutorKind;
 use hmpt_core::grouping::GroupingConfig;
 use hmpt_core::scenario::{
-    MatrixReport, MatrixStats, Scenario, ScenarioMatrix, ScenarioRow, ShardReport, ShardSpec,
+    MatrixReport, MatrixStats, ScenarioMatrix, ScenarioRow, ShardReport, ShardSpec,
 };
 use hmpt_sim::fingerprint::Fingerprint;
 
@@ -43,19 +45,15 @@ use crate::service::{Fleet, FleetConfig, TuningJob};
 /// How a scenario matrix is executed.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixConfig {
-    /// Cell-level executor of each scenario's campaign.
+    /// Cell-level executor of each campaign.
     pub executor: ExecutorKind,
-    /// Concurrent scenarios (`1` = sequential, `0` = auto-size).
+    /// Concurrent campaign groups (`1` = sequential, `0` = auto-size).
     pub job_workers: usize,
     /// Consult the shared content-addressed cache per cell.
     pub cache_enabled: bool,
     pub grouping: GroupingConfig,
-    /// Seed of each scenario's profiling run.
+    /// Seed of each campaign's profiling run.
     pub profile_seed: u64,
-    /// Scenarios pulled from the lazy enumeration per fleet batch
-    /// (`0` = auto: a few chunks per worker). Affects scheduling and
-    /// peak memory only, never results.
-    pub chunk: usize,
     /// Evaluate campaign cells through the batched cold-path kernel
     /// (default true; bit-identical by contract, so — like the executor
     /// choice — deliberately excluded from [`Self::bits_fingerprint`]).
@@ -70,7 +68,6 @@ impl Default for MatrixConfig {
             cache_enabled: true,
             grouping: GroupingConfig::default(),
             profile_seed: 7,
-            chunk: 0,
             fast_path: true,
         }
     }
@@ -79,7 +76,7 @@ impl Default for MatrixConfig {
 impl MatrixConfig {
     /// Content fingerprint of the execution settings that determine row
     /// *bits*: the profiling seed and the grouping parameters. Executor
-    /// choice, job workers, chunking, and caching are deliberately
+    /// choice, job workers and caching are deliberately
     /// excluded — bit-identity across those is the subsystem's core
     /// invariant, so they may legitimately differ between shards.
     ///
@@ -104,18 +101,6 @@ impl MatrixConfig {
             ..FleetConfig::default()
         }
     }
-
-    fn chunk_size(&self) -> usize {
-        if self.chunk > 0 {
-            return self.chunk;
-        }
-        let workers = if self.job_workers == 0 {
-            hmpt_core::exec::available_workers()
-        } else {
-            self.job_workers
-        };
-        (workers * 4).max(8)
-    }
 }
 
 /// Execute a scenario matrix over a fresh shared cache.
@@ -125,8 +110,8 @@ pub fn run_matrix(matrix: &ScenarioMatrix, cfg: &MatrixConfig) -> Result<MatrixR
 
 /// Execute a scenario matrix over an existing cache (warm-start: a
 /// matrix sharing machines with an earlier run answers those campaigns
-/// without new simulated runs), streaming one chunk of scenarios at a
-/// time through a [`Fleet`].
+/// without new simulated runs), one batch of campaign groups at a time
+/// through a [`Fleet`].
 pub fn run_matrix_with_cache(
     matrix: &ScenarioMatrix,
     cfg: &MatrixConfig,
@@ -163,8 +148,9 @@ pub fn run_matrix_sharded(
     })
 }
 
-/// The shared range runner: stream `range`'s scenarios in bounded
-/// chunks through a [`Fleet`] over `cache`.
+/// The shared range runner: run each campaign group of `range` as one
+/// job, in bounded batches through a [`Fleet`] over `cache`, and build
+/// one row per scenario from its group's analysis.
 fn run_matrix_range(
     matrix: &ScenarioMatrix,
     cfg: &MatrixConfig,
@@ -177,41 +163,44 @@ fn run_matrix_range(
     let t0 = Instant::now();
     let before = cache.stats();
     let fleet = Fleet::with_cache(cfg.fleet_config(), cache);
-    let chunk_size = cfg.chunk_size();
+    // Campaign groups per fleet batch: a few per job worker, which
+    // bounds peak memory.
+    let batch_size = (fleet.job_workers() * 4).max(8);
 
     let mut rows: Vec<ScenarioRow> = Vec::with_capacity(range.len());
-    let (mut planned, mut executed) = (0u64, 0u64);
-    let mut scenarios = range.map(|i| matrix.scenario(i));
+    let mut campaigns = matrix.campaigns(range);
     loop {
-        let chunk: Vec<Scenario> = scenarios.by_ref().take(chunk_size).collect();
-        if chunk.is_empty() {
+        let batch: Vec<Range<usize>> = campaigns.by_ref().take(batch_size).collect();
+        if batch.is_empty() {
             break;
         }
-        let jobs: Vec<TuningJob> = chunk
+        let jobs: Vec<TuningJob> = batch
             .iter()
-            .map(|s| {
+            .map(|group| {
+                let s = matrix.scenario(group.start);
                 Ok(TuningJob::new(s.workload.clone())
                     .with_machine(s.build_machine()?)
                     .with_campaign(s.campaign)
                     .with_rep_policy(s.rep_policy)
-                    // Per-scenario telemetry label: the `fleet.job` span
-                    // of scenario #i reads "#i machine·workload".
-                    .with_label(format!("#{} {}·{}", s.index, s.entry.name, s.workload.name)))
+                    // Per-campaign telemetry label: the `fleet.job` span of
+                    // scenarios 3, 4 and 5 reads "#3..6 machine·workload".
+                    .with_label(format!("#{group:?} {}·{}", s.entry.name, s.workload.name)))
             })
             .collect::<Result<_, TunerError>>()?;
         let report = fleet.run(&jobs)?;
-        planned += report.stats.planned_cells;
-        executed += report.stats.executed_cells;
-        for ((scenario, job), job_report) in chunk.iter().zip(&jobs).zip(&report.reports) {
-            rows.push(ScenarioRow::build(scenario, &job.machine, &job_report.analysis));
+        for ((group, job), job_report) in batch.into_iter().zip(&jobs).zip(&report.reports) {
+            let analysis = &job_report.analysis;
+            rows.extend(
+                group.map(|i| ScenarioRow::build(&matrix.scenario(i), &job.machine, analysis)),
+            );
         }
     }
 
     let wall_s = t0.elapsed().as_secs_f64();
     let stats = MatrixStats {
         scenarios: rows.len(),
-        planned_cells: planned,
-        executed_cells: executed,
+        planned_cells: rows.iter().map(|r| r.planned_cells as u64).sum(),
+        executed_cells: rows.iter().map(|r| r.executed_cells as u64).sum(),
         cache: fleet.cache().stats().since(&before),
         wall_s,
         scenarios_per_s: if wall_s > 0.0 { rows.len() as f64 / wall_s } else { 0.0 },
@@ -234,13 +223,17 @@ mod tests {
     }
 
     #[test]
-    fn matrix_runs_and_budget_rows_share_campaign_cells() {
-        let report = run_matrix(&tiny_matrix(), &MatrixConfig::default()).unwrap();
+    fn budget_rows_read_one_campaign_consulted_once() {
+        let matrix = tiny_matrix();
+        let report = run_matrix(&matrix, &MatrixConfig::default()).unwrap();
         assert_eq!(report.scenarios.len(), 4);
-        // Each machine's second budget re-asks the same campaign: half
-        // the executed cells are answered by the cache.
-        assert!(report.stats.cache.hits > 0, "stats: {:?}", report.stats.cache);
-        assert_eq!(report.stats.cache.hits, report.stats.cache.misses);
+        // Each machine's campaign is measured once for both budget
+        // rows: no cell is looked up twice, yet every row counts the
+        // whole campaign.
+        let cache = report.stats.cache;
+        assert_eq!(cache.hits, 0, "stats: {cache:?}");
+        assert_eq!(cache.misses * matrix.budgets().len() as u64, report.stats.executed_cells);
+        assert_eq!(cache.entries, cache.misses);
         assert!(report.capacity_ok());
         // Budgeted rows respect their budget.
         let budgeted: Vec<_> =
@@ -273,11 +266,9 @@ mod tests {
             &MatrixConfig { job_workers: 4, cache_enabled: false, ..MatrixConfig::default() },
         )
         .unwrap();
-        let cached = run_matrix(
-            &matrix,
-            &MatrixConfig { job_workers: 4, chunk: 1, ..MatrixConfig::default() },
-        )
-        .unwrap();
+        let cached =
+            run_matrix(&matrix, &MatrixConfig { job_workers: 4, ..MatrixConfig::default() })
+                .unwrap();
         assert!(serial.bit_identical(&parallel), "parallel diverged");
         assert!(serial.bit_identical(&cached), "cached diverged");
         assert_eq!(serial.stats.cache.hits + serial.stats.cache.misses, 0, "cache was off");
@@ -353,18 +344,20 @@ mod tests {
     }
 
     #[test]
-    fn shards_over_a_shared_cache_still_dedup() {
+    fn shards_split_between_campaigns_simulate_each_cell_once() {
         let matrix = tiny_matrix();
         let cfg = MatrixConfig::default();
         let cache = Arc::new(MeasurementCache::new());
+        // Shard 0 = xeon-max × two budgets, shard 1 = hbm-flat × two
+        // budgets: the boundary falls between campaign groups.
         let a = run_matrix_sharded(&matrix, &cfg, matrix.shard(0, 2), Arc::clone(&cache)).unwrap();
         let b = run_matrix_sharded(&matrix, &cfg, matrix.shard(1, 2), Arc::clone(&cache)).unwrap();
-        // Shard 0 = xeon-max × two budgets, shard 1 = hbm-flat × two
-        // budgets: each shard dedups its budget pair internally.
-        assert!(a.stats.cache.hits > 0);
-        assert!(b.stats.cache.hits > 0);
+        let full = run_matrix(&matrix, &cfg).unwrap();
+        assert_eq!(a.stats.cache.hits + b.stats.cache.hits, 0);
+        assert_eq!(a.stats.cache.misses + b.stats.cache.misses, full.stats.cache.misses);
+        assert_eq!(cache.len() as u64, full.stats.cache.misses);
         let merged = MatrixReport::merge(&[a, b]).unwrap();
-        assert!(run_matrix(&matrix, &cfg).unwrap().bit_identical(&merged));
+        assert!(full.bit_identical(&merged));
     }
 
     #[test]

@@ -223,7 +223,7 @@ impl Fleet {
     }
 
     /// A fleet over an externally owned cache — several fleets (e.g.
-    /// the per-policy fleets of a scenario matrix) can share one
+    /// the shard runs of one scenario matrix) can share one
     /// content-addressed store. If [`FleetConfig::cache_path`] names an
     /// existing snapshot (and caching is on), it is loaded here —
     /// load-on-start; an unusable snapshot (foreign format or key
@@ -343,7 +343,7 @@ impl Fleet {
     }
 
     /// The effective job-level worker count (`0` = auto-detect).
-    fn job_workers(&self) -> usize {
+    pub(crate) fn job_workers(&self) -> usize {
         if self.cfg.job_workers == 0 {
             available_workers()
         } else {

@@ -31,7 +31,7 @@
 //! [execution]
 //! serial      = false           # force the serial cell executor
 //! workers     = 0               # cell workers (0 = auto)
-//! job_workers = 1               # concurrent jobs/scenarios (0 = auto)
+//! job_workers = 1               # concurrent jobs/campaigns (0 = auto)
 //! compare     = true            # batch: serial-vs-parallel timing pass
 //! online      = true            # batch: online-tuner verification
 //! verify      = true            # matrix: bit-identity re-runs

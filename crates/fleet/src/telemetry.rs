@@ -6,7 +6,7 @@
 //!
 //! * [`parse_trace`] folds a trace JSONL document into a typed
 //!   [`TraceSummary`] — per-span statistics with exact p50/p95/p99
-//!   percentiles, per-scenario rollups, counter/gauge totals, and the
+//!   percentiles, per-campaign rollups, counter/gauge totals, and the
 //!   derived cell-throughput and cache-flow views. It is a pure
 //!   text → data function, so both renderers and the campaign
 //!   warehouse (`hmpt_report`) ingest traces through one parser.
@@ -74,10 +74,10 @@ pub struct SpanSummary {
     pub p99_ns: u64,
 }
 
-/// One labeled `fleet.job` span — the per-scenario rollup entry.
+/// One labeled `fleet.job` span — the per-campaign rollup entry.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScenarioSpan {
-    /// The span's dynamic label, e.g. `#3 xeon-max·mg`.
+    /// The span's dynamic label, e.g. `#3..6 xeon-max·mg` (scenarios 3–5).
     pub detail: String,
     pub dur_ns: u64,
 }
@@ -440,7 +440,7 @@ impl TraceSummary {
             }
         }
 
-        // Per-scenario rollup from the labeled fleet.job spans.
+        // Per-campaign rollup from the labeled fleet.job spans.
         if !self.scenarios.is_empty() {
             let _ = writeln!(out, "\nslowest scenarios (fleet.job):");
             for s in self.scenarios.iter().take(10) {

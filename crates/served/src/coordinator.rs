@@ -463,9 +463,9 @@ impl Coordinator {
         };
         // One job runs at a time, so the cache's traffic since `before`
         // is exactly this job's, and the entries it added are the cells
-        // it simulated however its shards raced. (The shard reports sum
-        // per-shard deltas of the same counters, which over-count
-        // concurrent shards.)
+        // it simulated however its shards raced. Both the report and
+        // `JobStats` carry it: the shard reports' per-shard deltas of
+        // the same counters over-count concurrent shards.
         let traffic = self.cache.stats().since(&before);
 
         {
@@ -483,10 +483,11 @@ impl Coordinator {
             let _m = hmpt_obs::span_with("serve.merge", || format!("job {id}"));
             self.merge_and_persist(&record, &shards)
         };
-        let report = match merged {
+        let mut report = match merged {
             Ok(report) => report,
             Err(message) => return self.finish_failed(id, message),
         };
+        report.stats.cache = traffic;
         let merge_s = merge_started.elapsed().as_secs_f64();
 
         let json = serde_json::to_string_pretty(&report).expect("matrix reports always serialize");

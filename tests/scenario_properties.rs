@@ -1,11 +1,12 @@
 //! Property tests for the scenario subsystem: matrix enumeration is
 //! lazy, deterministic, and duplicate-free for arbitrary axes; matrix
 //! execution is bit-identical across serial, parallel, and cached
-//! strategies; the shared measurement cache dedups campaign cells
-//! whenever two scenarios share a machine fingerprint; any shard
-//! partition merged back is bit-identical to the unsharded run (and a
-//! run against a saved cache snapshot executes zero new cells); and the
-//! Xeon Max preset rows still land in the paper's Table II bands.
+//! strategies; the budget rows of one campaign group read a single
+//! campaign, measured once, and each equals that budget run alone; any
+//! shard partition merged back is bit-identical to the unsharded run
+//! (and a run against a saved cache snapshot executes zero new cells);
+//! and the Xeon Max preset rows still land in the paper's Table II
+//! bands.
 
 use std::sync::Arc;
 
@@ -16,6 +17,7 @@ use hmpt_fleet::{
 use hmpt_repro::core::campaign::RepPolicy;
 use hmpt_repro::core::exec::ExecutorKind;
 use hmpt_repro::core::measure::CampaignConfig;
+use hmpt_repro::core::scenario::rows_bit_identical;
 use hmpt_repro::sim::noise::NoiseModel;
 use hmpt_repro::sim::stream::Direction;
 use hmpt_repro::sim::units::gib;
@@ -228,33 +230,45 @@ proptest! {
         prop_assert_eq!(warm.stats.cache.misses, 0);
     }
 
-    /// Two scenarios sharing a machine fingerprint (same machine ×
-    /// workload campaign under two HBM budgets) dedup through the
-    /// shared cache: the second costs zero simulated runs.
+    /// A campaign group (one machine × workload under 1–4 HBM budgets)
+    /// consults the cache once per campaign cell, however many budget
+    /// rows read it, and each budget row is bit-identical to the row
+    /// that budget gets when it runs alone.
     #[test]
-    fn shared_machine_fingerprint_yields_cache_hits(
+    fn budget_rows_read_one_campaign_consulted_once(
         spec in arb_workload(),
         seed in 0u64..1000,
+        budgets in prop::collection::vec(prop::option::of(1u64..64), 1..5),
     ) {
+        let budgets: Vec<_> = budgets.into_iter().map(|b| b.map(gib)).collect();
         let matrix = ScenarioMatrix::new(
             Zoo::new(vec![ZooEntry::preset(Preset::XeonMaxSnc4)]),
             vec![spec],
         )
-        .with_budgets(vec![None, Some(gib(8))])
+        .with_budgets(budgets.clone())
         .with_campaign(campaign(seed));
+        let cfg = MatrixConfig { job_workers: 1, ..MatrixConfig::default() };
 
-        let report = run_matrix(&matrix, &MatrixConfig {
-            job_workers: 1,
-            ..MatrixConfig::default()
-        }).unwrap();
-        prop_assert_eq!(report.scenarios.len(), 2);
-        prop_assert_eq!(
-            &report.scenarios[0].machine_fingerprint,
-            &report.scenarios[1].machine_fingerprint
-        );
-        prop_assert!(report.stats.cache.hit_rate() > 0.0, "stats: {:?}", report.stats.cache);
-        // Budget rows need the identical campaign: hits == misses.
-        prop_assert_eq!(report.stats.cache.hits, report.stats.cache.misses);
+        let report = run_matrix(&matrix, &cfg).unwrap();
+        prop_assert_eq!(report.scenarios.len(), budgets.len());
+        prop_assert!(report.capacity_ok());
+        prop_assert!(report
+            .scenarios
+            .iter()
+            .all(|r| r.machine_fingerprint == report.scenarios[0].machine_fingerprint));
+        let cache = report.stats.cache;
+        prop_assert!(cache.hits == 0, "stats: {:?}", cache);
+        prop_assert_eq!(cache.misses * budgets.len() as u64, report.stats.executed_cells);
+
+        for (k, budget) in budgets.iter().enumerate() {
+            let alone = run_matrix(&matrix.clone().with_budgets(vec![*budget]), &cfg).unwrap();
+            let mut expected = alone.scenarios[0].clone();
+            expected.scenario = k;
+            prop_assert!(
+                rows_bit_identical(&[expected], &report.scenarios[k..=k]),
+                "budget row {} diverged from its standalone run", k
+            );
+        }
     }
 
     /// The acceptance property: for arbitrary axes and any shard count

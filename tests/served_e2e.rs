@@ -2,9 +2,10 @@
 //! real TCP connection produces a `MatrixReport` bit-identical to
 //! direct `api::execute`; a warm re-submission simulates nothing; the
 //! coordinator's shared cache stops overlapping jobs double-simulating
-//! their common cells (the PR 4 cross-job boundary); tenant quotas
-//! reject typed while other tenants proceed; and a state dir that died
-//! mid-flight is adopted and completed on restart.
+//! their common cells across the job boundary; a served report's cache
+//! counts are the job's own traffic; tenant quotas reject typed while
+//! other tenants proceed; and a state dir that died mid-flight is
+//! adopted and completed on restart.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -163,6 +164,33 @@ fn overlapping_jobs_share_the_cache_instead_of_resimulating() {
         serde_json::from_value(&coordinator.report(second).expect("report")).expect("parses");
     assert!(cold_report.bit_identical(&second_report));
     let _ = std::fs::remove_dir_all(&cold_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A served report's `stats.cache` is the job's own cache traffic —
+/// the same counts `JobStats` reports — even when two shard workers
+/// run concurrently over the shared cache (the mg-only job's two
+/// budget rows land in different shards and race on one campaign).
+#[test]
+fn served_report_cache_stats_are_the_jobs_own_traffic() {
+    let dir = temp_dir("report-traffic");
+    let mut config = CoordinatorConfig::new(&dir);
+    config.workers = 2;
+    let coordinator = Coordinator::open(config).expect("open");
+    for spec in [SPEC_MG, SPEC_MG_IS] {
+        let (job, _) = coordinator.submit("ci", 0, spec).expect("admitted");
+        coordinator.run_until_idle();
+        let stats = stats_of(&coordinator, job);
+        let report: MatrixReport =
+            serde_json::from_value(&coordinator.report(job).expect("report")).expect("parses");
+        let cache = report.stats.cache;
+        assert_eq!(cache.entries, stats.simulated_cells, "job {job}: {cache:?} vs {stats:?}");
+        assert_eq!(
+            cache.hits + cache.misses,
+            stats.simulated_cells + stats.cells_skipped,
+            "job {job}: {cache:?} vs {stats:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
