@@ -34,7 +34,7 @@
 //! [`CachingExecutor`]: crate::exec::CachingExecutor
 //! [`CampaignPlan`]: crate::campaign::CampaignPlan
 
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -78,13 +78,20 @@ impl CacheStats {
     }
 }
 
-/// One cached cell plus its recency stamp (a tick from the cache's
-/// monotonic use-clock, refreshed on every hit, peek, or insert).
+/// One cached cell plus two ticks of the cache's monotonic use-clock:
+/// its recency stamp, refreshed on every hit, peek, or insert, and the
+/// tick at which its key first entered the cache.
 #[derive(Debug)]
 struct Entry {
     value: Result<CellOutcome, TunerError>,
     last_used: u64,
+    inserted: u64,
 }
+
+/// A point on a cache's use-clock ([`MeasurementCache::mark`]); the
+/// cells inserted after it are [`MeasurementCache::added_since`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Mark(u64);
 
 /// The `cache.hit` and `cache.miss` counter handles, resolved once per
 /// process: looking a counter up takes the metrics-registry lock, which
@@ -136,11 +143,7 @@ impl MeasurementCache {
         let outcome = measure();
         self.misses.fetch_add(1, Ordering::Relaxed);
         miss.incr();
-        let last_used = self.tick();
-        self.map
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, Entry { value: outcome.clone(), last_used });
+        self.insert(key, outcome.clone());
         outcome
     }
 
@@ -155,10 +158,20 @@ impl MeasurementCache {
     /// Insert (or overwrite) an entry without touching the hit/miss
     /// counters — the preload path of [`crate::store`]. Last write wins
     /// on an existing key, which is safe because equal content keys
-    /// imply bit-identical measurements.
+    /// imply bit-identical measurements; for the same reason an
+    /// overwrite keeps the key's insertion tick.
     pub fn insert(&self, key: CellKey, value: Result<CellOutcome, TunerError>) {
-        let last_used = self.tick();
-        self.map.lock().expect("cache poisoned").insert(key, Entry { value, last_used });
+        let now = self.tick();
+        match self.map.lock().expect("cache poisoned").entry(key) {
+            hash_map::Entry::Occupied(mut slot) => {
+                let entry = slot.get_mut();
+                entry.value = value;
+                entry.last_used = now;
+            }
+            hash_map::Entry::Vacant(slot) => {
+                slot.insert(Entry { value, last_used: now, inserted: now });
+            }
+        }
     }
 
     /// Snapshot every entry (unordered) — the persistence path of
@@ -170,6 +183,28 @@ impl MeasurementCache {
             .iter()
             .map(|(k, e)| (*k, e.value.clone()))
             .collect()
+    }
+
+    /// The current point on the use-clock. Every key inserted after this
+    /// call is in [`Self::added_since`] of the mark; a key inserted
+    /// concurrently with the call may or may not be.
+    pub fn mark(&self) -> Mark {
+        Mark(self.clock.load(Ordering::Relaxed))
+    }
+
+    /// The entries whose keys entered the cache at or after `mark`,
+    /// sorted by key — the cells a journal has yet to write.
+    pub fn added_since(&self, mark: Mark) -> Vec<(CellKey, Result<CellOutcome, TunerError>)> {
+        let mut added: Vec<_> = self
+            .map
+            .lock()
+            .expect("cache poisoned")
+            .iter()
+            .filter(|(_, e)| e.inserted >= mark.0)
+            .map(|(k, e)| (*k, e.value.clone()))
+            .collect();
+        added.sort_by_key(|(k, _)| *k);
+        added
     }
 
     /// Evict least-recently-used entries until at most `max_entries`
@@ -295,6 +330,28 @@ mod tests {
         }
         assert!(cache.get(&key(0, 0, 0, 0)).is_none());
         assert_eq!(cache.compact(10), 0, "under the cap, compaction is a no-op");
+    }
+
+    #[test]
+    fn added_since_returns_exactly_the_keys_inserted_after_the_mark() {
+        let cache = MeasurementCache::new();
+        cache.insert(key(1, 0, 0, 0), cell(1.0));
+        cache.insert(key(2, 0, 0, 0), cell(2.0));
+        let mark = cache.mark();
+        assert!(cache.added_since(mark).is_empty());
+
+        // Hits, peeks and overwrites of old keys add nothing…
+        cache.get_or_measure(key(1, 0, 0, 0), || unreachable!("a hit")).unwrap();
+        cache.get(&key(2, 0, 0, 0));
+        cache.insert(key(2, 0, 0, 0), cell(2.0));
+        assert!(cache.added_since(mark).is_empty());
+
+        // …new keys do, by either insertion path, sorted by key.
+        cache.get_or_measure(key(9, 0, 0, 0), || cell(9.0)).unwrap();
+        cache.insert(key(5, 0, 0, 0), cell(5.0));
+        let added: Vec<CellKey> = cache.added_since(mark).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(added, vec![key(5, 0, 0, 0), key(9, 0, 0, 0)]);
+        assert!(cache.added_since(cache.mark()).is_empty());
     }
 
     #[test]

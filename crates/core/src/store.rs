@@ -54,6 +54,21 @@
 //! record stream cannot be trusted at all. Callers treat a discarded
 //! snapshot as a cold start.
 //!
+//! ## Journal
+//!
+//! A long-lived cache that grows a little at a time need not rewrite
+//! its whole snapshot for every few new cells. [`append`] writes them
+//! to a *journal* instead: a file in the snapshot format whose header
+//! declares 0 records, followed by records that are **appended, not
+//! sorted** — each append adds its cells after the previous ones. A
+//! declared count of 0 is never "fewer than declared", so [`load_into`]
+//! and [`preload`] read a journal unchanged, with the same tolerance: a
+//! torn last append loses only the records it did not finish, and a
+//! flipped byte skips one record. A *fold* rewrites the snapshot from
+//! the whole cache ([`save`]) and then deletes the journal; the owner
+//! folds when the journal would outgrow the snapshot, and whenever it
+//! cannot trust the journal's tail.
+//!
 //! ## Merging
 //!
 //! [`merge_into`] folds any number of snapshots into one cache with
@@ -64,7 +79,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 use hmpt_alloc::error::AllocError;
@@ -162,6 +177,11 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
+    /// Every record the file held was read back: none skipped, none cut.
+    pub fn is_clean(&self) -> bool {
+        self.skipped == 0 && !self.truncated
+    }
+
     /// Fold another load (e.g. of the next shard snapshot) into this
     /// accounting.
     pub fn absorb(&mut self, other: LoadReport) {
@@ -269,40 +289,51 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
 }
 
+/// The header of a file declaring `records` records (0 for a journal).
+fn header(records: u64) -> [u8; HEADER_LEN] {
+    let mut out = [0u8; HEADER_LEN];
+    out[..8].copy_from_slice(&MAGIC);
+    out[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out[12..16].copy_from_slice(&SEMANTICS_VERSION.to_le_bytes());
+    out[16..24].copy_from_slice(&records.to_le_bytes());
+    let sum = checksum(&out[..HEADER_LEN - 8]);
+    out[HEADER_LEN - 8..].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// Append the records of `entries` to `out`, counting the entries with
+/// no stable encoding as skipped.
+fn put_records(
+    out: &mut Vec<u8>,
+    entries: &[(CellKey, Result<CellOutcome, TunerError>)],
+) -> SaveReport {
+    let mut report = SaveReport::default();
+    for (key, value) in entries {
+        let Some((tag, a, b)) = encode_payload(value) else {
+            report.skipped += 1;
+            continue;
+        };
+        let start = out.len();
+        for word in [key.0.raw(), key.1.raw(), key.2.raw(), key.3.raw(), tag, a, b] {
+            put_u64(out, word);
+        }
+        let sum = checksum(&out[start..start + RECORD_BODY]);
+        put_u64(out, sum);
+        report.saved += 1;
+    }
+    report
+}
+
 /// Serialize the cache to snapshot bytes (sorted records — the bytes
 /// are a deterministic function of cache content).
 pub fn to_bytes(cache: &MeasurementCache) -> (Vec<u8>, SaveReport) {
     let mut entries = cache.entries();
     entries.sort_by_key(|(k, _)| *k);
 
-    let mut records: Vec<u8> = Vec::with_capacity(entries.len() * RECORD_LEN);
-    let mut report = SaveReport::default();
-    for (key, value) in &entries {
-        let Some((tag, a, b)) = encode_payload(value) else {
-            report.skipped += 1;
-            continue;
-        };
-        let start = records.len();
-        put_u64(&mut records, key.0.raw());
-        put_u64(&mut records, key.1.raw());
-        put_u64(&mut records, key.2.raw());
-        put_u64(&mut records, key.3.raw());
-        put_u64(&mut records, tag);
-        put_u64(&mut records, a);
-        put_u64(&mut records, b);
-        let sum = checksum(&records[start..start + RECORD_BODY]);
-        put_u64(&mut records, sum);
-        report.saved += 1;
-    }
-
-    let mut out: Vec<u8> = Vec::with_capacity(HEADER_LEN + records.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&SEMANTICS_VERSION.to_le_bytes());
-    put_u64(&mut out, report.saved);
-    let sum = checksum(&out[..HEADER_LEN - 8]);
-    put_u64(&mut out, sum);
-    out.extend_from_slice(&records);
+    let mut out: Vec<u8> = Vec::with_capacity(HEADER_LEN + entries.len() * RECORD_LEN);
+    out.extend_from_slice(&header(0));
+    let report = put_records(&mut out, &entries);
+    out[..HEADER_LEN].copy_from_slice(&header(report.saved));
     (out, report)
 }
 
@@ -382,6 +413,35 @@ pub fn save(cache: &MeasurementCache, path: impl AsRef<Path>) -> Result<SaveRepo
     Ok(report)
 }
 
+/// Append `entries` to the journal at `path`, creating it (header
+/// first) if it does not exist, in one write. A journal that does not
+/// end on a record boundary is refused: a record appended after a torn
+/// tail would be misaligned, and so lost, with every record after it.
+/// A failed write can itself leave a torn tail, so after an error the
+/// caller must rewrite the snapshot instead of appending again.
+pub fn append(
+    path: impl AsRef<Path>,
+    entries: &[(CellKey, Result<CellOutcome, TunerError>)],
+) -> Result<SaveReport, StoreError> {
+    let _span = hmpt_obs::span("store.append");
+    let mut file = fs::OpenOptions::new().create(true).append(true).open(path)?;
+    let (len, header_len) = (file.metadata()?.len(), HEADER_LEN as u64);
+    if len > 0 && (len < header_len || !(len - header_len).is_multiple_of(RECORD_LEN as u64)) {
+        return Err(StoreError::Io(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("journal of {len} bytes ends inside a record"),
+        )));
+    }
+    let mut bytes = Vec::with_capacity(HEADER_LEN + entries.len() * RECORD_LEN);
+    if len == 0 {
+        bytes.extend_from_slice(&header(0));
+    }
+    let report = put_records(&mut bytes, entries);
+    hmpt_obs::counter("store.bytes_written").add(bytes.len() as u64);
+    file.write_all(&bytes)?;
+    Ok(report)
+}
+
 /// Load a snapshot into an existing cache (preload / warm-start path;
 /// counters are untouched, last write wins on identical keys).
 pub fn load_into(
@@ -395,14 +455,20 @@ pub fn load_into(
 }
 
 /// Warm-start `cache` from the snapshot at `path`, if the file exists,
-/// and return how many cells it loaded. An unusable snapshot (foreign
-/// format or key semantics, header damage, I/O failure) is a cold
-/// start, not an error; it and a partial recovery are reported as
-/// `target` warnings naming `subject` — a warm start that silently
-/// re-simulates from cold is just an unexplained slow run.
-pub fn preload(cache: &MeasurementCache, path: &Path, target: &'static str, subject: &str) -> u64 {
+/// and return what the load recovered, or `None` if nothing was read.
+/// An unusable snapshot (foreign format or key semantics, header
+/// damage, I/O failure) is a cold start, not an error; it and a partial
+/// recovery are reported as `target` warnings naming `subject` — a
+/// warm start that silently re-simulates from cold is just an
+/// unexplained slow run.
+pub fn preload(
+    cache: &MeasurementCache,
+    path: &Path,
+    target: &'static str,
+    subject: &str,
+) -> Option<LoadReport> {
     if !path.exists() {
-        return 0;
+        return None;
     }
     match load_into(cache, path) {
         Ok(report) => {
@@ -418,14 +484,14 @@ pub fn preload(cache: &MeasurementCache, path: &Path, target: &'static str, subj
                     ),
                 );
             }
-            report.loaded
+            Some(report)
         }
         Err(e) => {
             hmpt_obs::warn(
                 target,
                 format!("{subject} {} ignored (cold start): {e}", path.display()),
             );
-            0
+            None
         }
     }
 }
@@ -760,18 +826,50 @@ mod tests {
         let path = std::env::temp_dir().join(format!("hmpt-preload-{}.bin", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let cache = MeasurementCache::new();
-        assert_eq!(preload(&cache, &path, "test", "snapshot"), 0, "no file: cold start");
+        assert_eq!(preload(&cache, &path, "test", "snapshot"), None, "no file: cold start");
 
         let (mut bytes, _) = to_bytes(&sample_cache());
         bytes[HEADER_LEN + RECORD_LEN + 40] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(preload(&cache, &path, "test", "snapshot"), 3, "damaged record skipped");
+        assert_eq!(
+            preload(&cache, &path, "test", "snapshot"),
+            Some(LoadReport { loaded: 3, skipped: 1, truncated: false }),
+            "damaged record skipped"
+        );
 
         // A snapshot written under the previous key semantics.
         std::fs::write(&path, restamped(&bytes, FORMAT_VERSION, SEMANTICS_VERSION - 1)).unwrap();
         let cold = MeasurementCache::new();
-        assert_eq!(preload(&cold, &path, "test", "snapshot"), 0, "foreign semantics: cold start");
+        assert_eq!(
+            preload(&cold, &path, "test", "snapshot"),
+            None,
+            "foreign semantics: cold start"
+        );
         assert!(cold.is_empty());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn appends_build_a_journal_that_loads_like_a_snapshot() {
+        let path = std::env::temp_dir().join(format!("hmpt-journal-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let cache = sample_cache();
+        let mut entries = cache.entries();
+        entries.sort_by_key(|(k, _)| *k);
+        assert_eq!(append(&path, &entries[..1]).unwrap(), SaveReport { saved: 1, skipped: 0 });
+        assert_eq!(append(&path, &entries[1..]).unwrap(), SaveReport { saved: 3, skipped: 0 });
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), HEADER_LEN + 4 * RECORD_LEN);
+        assert_eq!(bytes[..HEADER_LEN], header(0), "a journal's header declares 0 records");
+
+        let (restored, report) = load(&path).unwrap();
+        assert_eq!(report, LoadReport { loaded: 4, skipped: 0, truncated: false });
+        assert_same_entries(&cache, &restored);
+
+        // A torn tail is never appended after.
+        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
+        assert!(matches!(append(&path, &entries), Err(StoreError::Io(_))));
+        assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, bytes.len() - 5);
         std::fs::remove_file(&path).unwrap();
     }
 

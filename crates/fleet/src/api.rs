@@ -311,18 +311,26 @@ fn compare(jobs: &[TuningJob], parallel: ExecutorKind) -> Result<Comparison, Api
 
 /// The matrix path: preload the snapshot, run the matrix (or its one
 /// shard), audit capacity, verify bit-identity across strategies, and
-/// save the snapshot back (LRU-swept to `cache.max_records`).
+/// save the snapshot back (LRU-swept to `cache.max_records`) if the
+/// run changed the cache.
 fn execute_matrix(resolved: ResolvedMatrix, fingerprint: String) -> Result<Response, ApiError> {
     let _span = hmpt_obs::span("api.matrix");
     let ResolvedMatrix { matrix, config, verify, cache_file, cache_max_records, shard } = resolved;
     let cache = Arc::new(MeasurementCache::new());
-    let preloaded = cache_file.as_ref().map_or(0, |path| {
-        store::preload(&cache, path, "fleet.cache", "hmpt-fleet: cache snapshot")
-    });
+    let load = cache_file
+        .as_ref()
+        .and_then(|path| store::preload(&cache, path, "fleet.cache", "hmpt-fleet: cache snapshot"));
+    let preloaded = load.map_or(0, |r| r.loaded);
+    let mark = cache.mark();
+    // Save-on-finish, skipped when the file already holds the cache:
+    // the preload read all of it, and the run added no cell and the
+    // size bound evicted none.
     let save = |cache: &MeasurementCache| -> Option<String> {
         let path = cache_file.as_ref()?;
-        if let Some(max) = cache_max_records {
-            cache.compact(max as usize);
+        let evicted = cache_max_records.map_or(0, |max| cache.compact(max as usize));
+        if evicted == 0 && load.is_some_and(|r| r.is_clean()) && cache.added_since(mark).is_empty()
+        {
+            return None;
         }
         store::save(cache, path).err().map(|e| format!("{}: {e}", path.display()))
     };

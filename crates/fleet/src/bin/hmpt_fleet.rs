@@ -102,7 +102,8 @@ fn usage() -> ! {
          \x20 --json PATH     write the JSON report to PATH (default: stdout)\n\
          \x20 --job-workers N concurrent jobs/campaigns (default 1; 0 = auto)\n\
          \x20 --cache-file P  persistent measurement cache: load the snapshot on\n\
-         \x20                 start (if present), save it back on finish\n\
+         \x20                 start (if present), save it back on finish unless\n\
+         \x20                 the run left the snapshot's content unchanged\n\
          \x20 --cache-max N   LRU-sweep the cache to N records at save time\n\
          \x20 --spec-out P    write the campaign spec this invocation denotes\n\
          \x20                 (TOML, or JSON for .json) and exit without running\n\

@@ -14,9 +14,10 @@
 //! tuning agree.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use hmpt_core::cache::Mark;
 use hmpt_core::campaign::{CampaignPlan, RepPolicy};
 use hmpt_core::driver::{Analysis, Driver};
 use hmpt_core::error::TunerError;
@@ -65,9 +66,10 @@ pub struct FleetConfig {
     /// On-disk cache snapshot ([`hmpt_core::store`]): loaded into the
     /// shared cache when the fleet is built (a missing or unusable
     /// snapshot is a cold start, not an error) and re-saved after every
-    /// completed batch — so fleet runs warm-start across process
-    /// restarts. Ignored while `cache_enabled` is off (an empty cache
-    /// must not clobber a good snapshot).
+    /// completed batch that changed the cache — so fleet runs
+    /// warm-start across process restarts. Ignored while
+    /// `cache_enabled` is off (an empty cache must not clobber a good
+    /// snapshot).
     pub cache_path: Option<PathBuf>,
     /// Bound on the shared cache applied at persist time: before
     /// save-on-finish, least-recently-used entries beyond this count
@@ -209,6 +211,9 @@ pub struct Fleet {
     cache: Arc<MeasurementCache>,
     /// Cells preloaded from the configured snapshot at construction.
     preloaded: u64,
+    /// While the snapshot file holds exactly the cells inserted before
+    /// this mark: set by a clean preload and by each save.
+    synced: Mutex<Option<Mark>>,
 }
 
 impl Default for Fleet {
@@ -230,13 +235,17 @@ impl Fleet {
     /// semantics, header damage) is reported and treated as a cold
     /// start.
     pub fn with_cache(cfg: FleetConfig, cache: Arc<MeasurementCache>) -> Self {
-        let preloaded = match cfg.cache_path.as_ref() {
+        let was_empty = cache.is_empty();
+        let load = match cfg.cache_path.as_ref() {
             Some(path) if cfg.cache_enabled => {
                 store::preload(&cache, path, "fleet.cache", "hmpt-fleet: cache snapshot")
             }
-            _ => 0,
+            _ => None,
         };
-        Fleet { cfg, cache, preloaded }
+        // The file holds the whole cache only if it was read whole into
+        // a cache that held nothing else.
+        let synced = Mutex::new(load.filter(|r| was_empty && r.is_clean()).map(|_| cache.mark()));
+        Fleet { cfg, cache, preloaded: load.map_or(0, |r| r.loaded), synced }
     }
 
     pub fn config(&self) -> &FleetConfig {
@@ -253,20 +262,26 @@ impl Fleet {
     }
 
     /// Save the shared cache to [`FleetConfig::cache_path`] (atomic
-    /// temp-file + rename). `Ok(None)` when no path is configured or
-    /// caching is off. [`Self::run_streaming`] calls this after every
-    /// completed batch — save-on-finish — but callers may also persist
-    /// explicitly (e.g. after a matrix run over the fleet's cache).
+    /// temp-file + rename). `Ok(None)` when no path is configured,
+    /// caching is off, or the file already holds the cache: the preload
+    /// or the last save read or wrote it whole, and since then no cell
+    /// was added and the size bound evicted none. [`Self::run_streaming`]
+    /// calls this after every completed batch — save-on-finish — but
+    /// callers may also persist explicitly (e.g. after a matrix run over
+    /// the fleet's cache).
     pub fn persist(&self) -> Result<Option<SaveReport>, StoreError> {
-        match &self.cfg.cache_path {
-            Some(path) if self.cfg.cache_enabled => {
-                if let Some(max) = self.cfg.cache_max_records {
-                    self.cache.compact(max as usize);
-                }
-                store::save(&self.cache, path).map(Some)
-            }
-            _ => Ok(None),
+        let Some(path) = self.cfg.cache_path.as_ref().filter(|_| self.cfg.cache_enabled) else {
+            return Ok(None);
+        };
+        let mut synced = self.synced.lock().expect("snapshot mark poisoned");
+        let evicted = self.cfg.cache_max_records.map_or(0, |max| self.cache.compact(max as usize));
+        if evicted == 0 && synced.is_some_and(|mark| self.cache.added_since(mark).is_empty()) {
+            return Ok(None);
         }
+        let mark = self.cache.mark();
+        let saved = store::save(&self.cache, path);
+        *synced = saved.is_ok().then_some(mark);
+        saved.map(Some)
     }
 
     /// The fleet's executor stack: a cell-level pool, wrapped in the

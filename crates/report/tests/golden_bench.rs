@@ -4,10 +4,11 @@
 //! line, with optional `throughput_bytes` / `throughput_elements`
 //! fields that ingestion must tolerate and ignore.
 //!
-//! Three producers share the schema — the vendored criterion's
+//! Four producers share the schema — the vendored criterion's
 //! `BENCH_JSON` writer, `hmpt_fleet::telemetry::bench_jsonl`
-//! (`--bench-out`), and hand-written fixtures — and one consumer reads
-//! it (`CampaignRecord::absorb_bench_jsonl`). This test pins both
+//! (`--bench-out`), hand-written fixtures, and the checked-in perf
+//! trajectory `BENCH_trajectory.json` — and one consumer reads it
+//! (`CampaignRecord::absorb_bench_jsonl`). This test pins both
 //! directions against the checked-in golden file so a schema drift in
 //! any of them fails loudly here, not in CI's gate job.
 
@@ -15,6 +16,7 @@ use hmpt_fleet::telemetry::{bench_jsonl, BenchLine};
 use hmpt_report::CampaignRecord;
 
 const GOLDEN: &str = include_str!("golden/BENCH_example.json");
+const TRAJECTORY: &str = include_str!("../../../BENCH_trajectory.json");
 
 #[test]
 fn golden_bench_jsonl_ingests_exactly() {
@@ -75,4 +77,29 @@ fn malformed_lines_are_rejected_by_number() {
         .unwrap_err();
     assert!(err.contains("line 2"), "{err}");
     assert!(err.contains("mean_ns"), "{err}");
+}
+
+/// The perf trajectory at the repository root ingests whole: for each
+/// measured change, one `<change>/<workload>/<metric>/<side>` line per
+/// gated workload × timing metric × side, each a median over at least
+/// ten interleaved runs.
+#[test]
+fn the_checked_in_perf_trajectory_ingests() {
+    let mut record = CampaignRecord::new("trajectory");
+    assert_eq!(record.absorb_bench_jsonl(TRAJECTORY), Ok(12));
+    assert_eq!(record.benches.len(), 12, "every line names its own bench");
+    for (name, point) in &record.benches {
+        let parts: Vec<&str> = name.split('/').collect();
+        let [change, workload, metric, side] = parts[..] else {
+            panic!("{name}: not <change>/<workload>/<metric>/<side>");
+        };
+        assert!(["served-stream", "table2-batch"].contains(&workload), "{name}");
+        assert!(["campaign_p50_s", "campaign_p90_s", "setup_s"].contains(&metric), "{name}");
+        let other = if side == "parent" { "change" } else { "parent" };
+        assert!(
+            record.benches.contains_key(&format!("{change}/{workload}/{metric}/{other}")),
+            "{name} has no {other} side"
+        );
+        assert!(point.mean_ns > 0 && point.samples >= 10, "{name}: {point:?}");
+    }
 }

@@ -7,13 +7,24 @@
 //! <state-dir>/
 //!   queue.json          # QueueSnapshot — every job ever admitted
 //!   cache.bin           # the shared MeasurementCache snapshot
+//!   cache.log           # journal: cells added since cache.bin was written
 //!   reports/job-<id>.json   # merged MatrixReport per completed job
 //! ```
 //!
-//! Every mutation persists through [`store::write_atomic`] before the
-//! verb answers, so a crash at any instant loses at most the frame
-//! being processed; [`Coordinator::open`] reloads the snapshot and
-//! re-queues whatever was mid-flight (the state machine's adopt edge).
+//! Every mutation persists before the verb answers, so a crash at any
+//! instant loses at most the frame being processed; [`Coordinator::open`]
+//! reloads the state and re-queues whatever was mid-flight (the state
+//! machine's adopt edge). `queue.json`, the reports and `cache.bin` are
+//! rewritten whole through [`store::write_atomic`]. The cells a job adds
+//! are appended to `cache.log` instead ([`store::append`]), so a job's
+//! persist costs its own new cells, not the whole cache, and a job that
+//! adds none writes nothing. The coordinator *folds* — rewrites
+//! `cache.bin` from the cache, then deletes the log — when the log would
+//! outgrow `cache.bin`, when the LRU bound evicted a cell (so no evicted
+//! cell survives in the log), after a failed append (whose torn tail
+//! nothing may follow), when `open` found a log, and at drain. An
+//! unreadable `queue.json` is renamed aside to `queue.json.corrupt.N`,
+//! never overwritten.
 //!
 //! The shared cache is the service's reason to exist as a *daemon*
 //! rather than a loop around `hmpt-fleet run`: every job's shard
@@ -25,11 +36,11 @@
 //! re-submission of a measured spec reports `simulated_cells == 0`.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hmpt_core::cache::MeasurementCache;
+use hmpt_core::cache::{Mark, MeasurementCache};
 use hmpt_core::exec::ExecutorKind;
 use hmpt_core::scenario::{MatrixReport, ShardReport};
 use hmpt_core::store;
@@ -42,6 +53,10 @@ use crate::state::{JobRecord, JobState, JobStats};
 use crate::wire::{ErrorKind, StatusView};
 use crate::worker::run_shards;
 
+/// The shared cache's snapshot and journal, in the state dir.
+const CACHE_BIN: &str = "cache.bin";
+const CACHE_LOG: &str = "cache.log";
+
 /// How the daemon is shaped. `workers` is the shard fan-out per job —
 /// a throughput knob only, results are bit-identical at any value.
 #[derive(Debug, Clone)]
@@ -51,7 +66,8 @@ pub struct CoordinatorConfig {
     pub workers: usize,
     /// Max live (queued + mid-flight) jobs per tenant.
     pub tenant_quota: usize,
-    /// LRU bound applied to the shared cache before each save.
+    /// LRU bound applied to the shared cache after each job; a job that
+    /// evicts folds the journal into a rewritten `cache.bin`.
     pub cache_max_records: Option<u64>,
 }
 
@@ -140,6 +156,24 @@ struct Inner {
     enqueued_at: BTreeMap<u64, Instant>,
 }
 
+/// What of the shared cache is on disk, in `cache.bin` and `cache.log`.
+struct Journal {
+    /// Cells inserted after this mark are not on disk yet.
+    mark: Mark,
+    /// The cache's length at `mark`. The cache only shrinks when the LRU
+    /// bound evicts, which folds and re-marks (and sets `must_fold`
+    /// until a fold succeeds), so otherwise the growth since `mark`
+    /// counts the cells not on disk.
+    len_at_mark: usize,
+    /// Records in `cache.bin` and in `cache.log`.
+    snapshot_records: u64,
+    log_records: u64,
+    /// The log cannot be appended to — `open` found it, an append
+    /// failed, or an eviction or a fold is unfinished — so the next
+    /// persist folds.
+    must_fold: bool,
+}
+
 /// The service core. All verbs are `&self` and thread-safe; the runner
 /// loop ([`Coordinator::run`]) executes jobs one at a time while
 /// connection threads admit and answer concurrently.
@@ -148,6 +182,7 @@ pub struct Coordinator {
     inner: Mutex<Inner>,
     work: Condvar,
     cache: Arc<MeasurementCache>,
+    journal: Mutex<Journal>,
 }
 
 /// Intern a per-tenant counter name: `hmpt_obs` counters key on
@@ -161,6 +196,18 @@ fn tenant_counter(tenant: &str) -> hmpt_obs::Counter {
     hmpt_obs::counter(name)
 }
 
+/// Rename an unreadable state file to `<name>.corrupt.N`, the first N
+/// not yet taken, and return the new path.
+fn quarantine(path: &Path) -> std::io::Result<PathBuf> {
+    let name = path.file_name().unwrap_or_default().to_string_lossy().into_owned();
+    let aside = (1..)
+        .map(|n| path.with_file_name(format!("{name}.corrupt.{n}")))
+        .find(|p| !p.exists())
+        .expect("an unbounded range always finds a free name");
+    std::fs::rename(path, &aside)?;
+    Ok(aside)
+}
+
 fn tenant_ok(tenant: &str) -> bool {
     !tenant.is_empty()
         && tenant.len() <= 64
@@ -170,9 +217,11 @@ fn tenant_ok(tenant: &str) -> bool {
 impl Coordinator {
     /// Open (or create) a state directory and adopt whatever it holds:
     /// the queue snapshot is reloaded, mid-flight jobs are re-queued,
-    /// and the shared cache is preloaded from its snapshot. Unreadable
-    /// snapshots are a cold start with a warning, not a refusal to
-    /// serve — matching the fleet's cache-preload contract.
+    /// and the shared cache is preloaded from `cache.bin`, then from
+    /// `cache.log`, which is then folded away. An unreadable cache file
+    /// is a cold start with a warning, not a refusal to serve — matching
+    /// the fleet's cache-preload contract; an unreadable queue snapshot
+    /// is a cold start too, after it is renamed aside.
     pub fn open(cfg: CoordinatorConfig) -> Result<Coordinator, ServeError> {
         std::fs::create_dir_all(cfg.state_dir.join("reports")).map_err(|e| {
             ServeError::Internal(format!("create {}: {e}", cfg.state_dir.display()))
@@ -181,9 +230,12 @@ impl Coordinator {
         let mut queue = JobQueue::new(QueueConfig { tenant_quota: cfg.tenant_quota });
         let queue_path = cfg.state_dir.join("queue.json");
         if queue_path.exists() {
-            let text = std::fs::read_to_string(&queue_path)
+            let bytes = std::fs::read(&queue_path)
                 .map_err(|e| ServeError::Internal(format!("{}: {e}", queue_path.display())))?;
-            match serde_json::from_str::<QueueSnapshot>(&text) {
+            let parsed = std::str::from_utf8(&bytes).map_err(|e| e.to_string()).and_then(|text| {
+                serde_json::from_str::<QueueSnapshot>(text).map_err(|e| e.to_string())
+            });
+            match parsed {
                 Ok(snapshot) => {
                     queue =
                         JobQueue::restore(snapshot, QueueConfig { tenant_quota: cfg.tenant_quota });
@@ -196,11 +248,20 @@ impl Coordinator {
                     }
                 }
                 Err(e) => {
+                    // The next persist would overwrite the file and every
+                    // job it names, so move it aside for an operator.
+                    let aside = quarantine(&queue_path).map_err(|io| {
+                        ServeError::Internal(format!(
+                            "unreadable queue snapshot {} ({e}) cannot be moved aside: {io}",
+                            queue_path.display()
+                        ))
+                    })?;
                     hmpt_obs::warn(
                         "serve.state",
                         format!(
-                            "ignoring unreadable queue snapshot {} (cold start): {e}",
-                            queue_path.display()
+                            "unreadable queue snapshot {} moved to {} (cold start): {e}",
+                            queue_path.display(),
+                            aside.display()
                         ),
                     );
                 }
@@ -208,15 +269,35 @@ impl Coordinator {
         }
 
         let cache = Arc::new(MeasurementCache::new());
-        store::preload(&cache, &cfg.state_dir.join("cache.bin"), "serve.cache", "shared cache");
+        let snapshot =
+            store::preload(&cache, &cfg.state_dir.join(CACHE_BIN), "serve.cache", "shared cache");
+        let log = cfg.state_dir.join(CACHE_LOG);
+        let had_log = log.exists();
+        if had_log {
+            store::preload(&cache, &log, "serve.cache", "shared cache journal");
+        }
+        let journal = Journal {
+            mark: cache.mark(),
+            len_at_mark: cache.len(),
+            snapshot_records: snapshot.map_or(0, |r| r.loaded),
+            log_records: 0,
+            must_fold: had_log,
+        };
 
         hmpt_obs::gauge("queue.depth").set(queue.depth() as u64);
-        Ok(Coordinator {
+        let coordinator = Coordinator {
             cfg,
             inner: Mutex::new(Inner { queue, draining: false, enqueued_at: BTreeMap::new() }),
             work: Condvar::new(),
             cache,
-        })
+            journal: Mutex::new(journal),
+        };
+        if had_log {
+            // Fold the replayed log away, so nothing is ever appended
+            // after a tail a crash may have torn.
+            coordinator.persist_cache(false);
+        }
+        Ok(coordinator)
     }
 
     /// Cells currently in the shared cross-job cache.
@@ -360,13 +441,14 @@ impl Coordinator {
                 None => break,
             }
         }
-        // Drained: one final atomic persist of queue + cache, then the
-        // caller may exit. Queued jobs survive for the next open().
+        // Drained: one final persist of the queue, and a fold of the
+        // cache's journal, then the caller may exit. Queued jobs survive
+        // for the next open().
         let inner = self.inner.lock().unwrap();
         let queued = inner.queue.depth();
         let persist = self.persist_queue(&inner);
         drop(inner);
-        self.persist_cache();
+        self.persist_cache(true);
         match persist {
             Ok(()) => hmpt_obs::info(
                 "serve.drain",
@@ -416,16 +498,59 @@ impl Coordinator {
             .map_err(|e| ServeError::Internal(format!("{}: {e}", path.display())))
     }
 
-    fn persist_cache(&self) {
-        if let Some(max) = self.cfg.cache_max_records {
-            self.cache.compact(max as usize);
+    /// Bring the cache's files up to date: evict to the LRU bound, then
+    /// append the cells added since the last persist to `cache.log`, or
+    /// fold (see the module docs). `draining` folds whatever is pending.
+    fn persist_cache(&self, draining: bool) {
+        let mut journal = self.journal.lock().expect("journal lock poisoned");
+        if self.cfg.cache_max_records.is_some_and(|max| self.cache.compact(max as usize) > 0) {
+            journal.must_fold = true;
         }
-        let path = self.cfg.state_dir.join("cache.bin");
-        if let Err(e) = store::save(&self.cache, &path) {
-            hmpt_obs::warn(
-                "serve.cache",
-                format!("shared cache not saved: {}: {e}", path.display()),
-            );
+        let log = self.cfg.state_dir.join(CACHE_LOG);
+        if !journal.must_fold {
+            let added = (self.cache.len() - journal.len_at_mark) as u64;
+            if added == 0 && (!draining || journal.log_records == 0) {
+                return;
+            }
+            if !draining && journal.log_records + added <= journal.snapshot_records {
+                let mark = self.cache.mark();
+                match store::append(&log, &self.cache.added_since(journal.mark)) {
+                    Ok(saved) => {
+                        journal.log_records += saved.saved;
+                        journal.mark = mark;
+                        journal.len_at_mark = self.cache.len();
+                        return;
+                    }
+                    Err(e) => hmpt_obs::warn(
+                        "serve.cache",
+                        format!("journal append failed, folding instead: {}: {e}", log.display()),
+                    ),
+                }
+            }
+        }
+
+        journal.must_fold = true;
+        let (mark, len) = (self.cache.mark(), self.cache.len());
+        let path = self.cfg.state_dir.join(CACHE_BIN);
+        let folded = store::save(&self.cache, &path)
+            .map_err(|e| format!("{}: {e}", path.display()))
+            .and_then(|saved| match std::fs::remove_file(&log) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    Err(format!("{}: {e}", log.display()))
+                }
+                _ => Ok(saved),
+            });
+        match folded {
+            Ok(saved) => {
+                *journal = Journal {
+                    mark,
+                    len_at_mark: len,
+                    snapshot_records: saved.saved,
+                    log_records: 0,
+                    must_fold: false,
+                }
+            }
+            Err(e) => hmpt_obs::warn("serve.cache", format!("shared cache not folded: {e}")),
         }
     }
 
@@ -574,7 +699,7 @@ impl Coordinator {
         if !report.capacity_ok() {
             return Err("scenario exceeds machine capacity".into());
         }
-        self.persist_cache();
+        self.persist_cache(false);
         Ok(report)
     }
 

@@ -5,7 +5,10 @@
 //! their common cells across the job boundary; a served report's cache
 //! counts are the job's own traffic; tenant quotas reject typed while
 //! other tenants proceed; and a state dir that died mid-flight is
-//! adopted and completed on restart.
+//! adopted and completed on restart. The shared cache's journal
+//! (`cache.log`) holds exactly each job's new cells, is replayed after a
+//! crash, never restores a cell the LRU bound evicted, and is not
+//! written by a warm job; an unreadable `queue.json` is moved aside.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -267,5 +270,149 @@ fn restart_adopts_queued_and_mid_flight_jobs() {
     // shared cache.
     assert!(stats_of(&coordinator, interrupted).simulated_cells > 0);
     assert_eq!(stats_of(&coordinator, queued).simulated_cells, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// [`SPEC_MG`] at another campaign seed: the same campaign shape, so
+/// the same number of cells, none of them shared with [`SPEC_MG`]'s.
+fn spec_mg_at_seed(seed: u64) -> String {
+    format!("{SPEC_MG}\n[campaign]\nseed = {seed}\n")
+}
+
+fn file_len(path: &std::path::Path) -> u64 {
+    std::fs::metadata(path).map(|m| m.len()).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Run one job to completion and return its stats.
+fn run_to_completion(coordinator: &Coordinator, spec: &str) -> JobStats {
+    let (job, _) = coordinator.submit("ci", 0, spec).expect("admitted");
+    coordinator.run_until_idle();
+    let status = &coordinator.status(Some(job)).expect("status").jobs[0];
+    assert_eq!(status.state, JobState::Completed, "error: {:?}", status.error);
+    stats_of(coordinator, job)
+}
+
+/// A job that adds fewer cells than the snapshot holds appends exactly
+/// those cells to `cache.log`; a daemon that dies without draining
+/// replays the log on reopen, folds it away, and answers both jobs
+/// again without simulating.
+#[test]
+fn a_crashed_daemon_replays_its_cache_journal() {
+    let dir = temp_dir("journal-crash");
+    let (bin, log) = (dir.join("cache.bin"), dir.join("cache.log"));
+    let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("open");
+    let cold = run_to_completion(&coordinator, SPEC_MG_IS);
+    assert!(!log.exists(), "with no cache.bin yet, the first job folds");
+    assert_eq!(file_len(&bin), 32 + 64 * cold.simulated_cells);
+
+    let other_seed = spec_mg_at_seed(17);
+    let added = run_to_completion(&coordinator, &other_seed).simulated_cells;
+    assert!(0 < added && added < cold.simulated_cells, "{added} vs {}", cold.simulated_cells);
+    assert_eq!(file_len(&log), 32 + 64 * added, "the log holds exactly the job's new cells");
+    assert_eq!(file_len(&bin), 32 + 64 * cold.simulated_cells, "an append leaves cache.bin be");
+
+    let len = coordinator.cache_len();
+    drop(coordinator); // no drain: the process dies here
+    let reopened = Coordinator::open(CoordinatorConfig::new(&dir)).expect("reopen");
+    assert_eq!(reopened.cache_len(), len, "snapshot + journal replay the whole cache");
+    assert!(!log.exists(), "open folds a replayed journal");
+    assert_eq!(file_len(&bin), 32 + 64 * len as u64);
+    for spec in [SPEC_MG_IS, other_seed.as_str()] {
+        assert_eq!(run_to_completion(&reopened, spec).simulated_cells, 0, "{spec}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job the LRU bound makes evict folds instead of appending, so the
+/// journal never brings an evicted cell back: a reopened cache holds at
+/// most the bound. The evicting job re-reads every cell of the first
+/// job, so the bound evicts the appended job's cells — exactly the ones
+/// a left-over log would restore.
+#[test]
+fn an_evicting_job_folds_so_the_journal_never_restores_evicted_cells() {
+    let other_seed = spec_mg_at_seed(23);
+    let superset = SPEC_MG_IS.replace("[\"mg\", \"is\"]", "[\"mg\", \"is\", \"sp\"]");
+
+    // The first two jobs' cells, from an unbounded service.
+    let probe_dir = temp_dir("evict-probe");
+    let probe = Coordinator::open(CoordinatorConfig::new(&probe_dir)).expect("open");
+    run_to_completion(&probe, SPEC_MG_IS);
+    run_to_completion(&probe, &other_seed);
+    let bound = probe.cache_len() as u64;
+    drop(probe);
+    let _ = std::fs::remove_dir_all(&probe_dir);
+
+    let dir = temp_dir("evict");
+    let log = dir.join("cache.log");
+    let mut config = CoordinatorConfig::new(&dir);
+    config.cache_max_records = Some(bound);
+    let coordinator = Coordinator::open(config.clone()).expect("open");
+    run_to_completion(&coordinator, SPEC_MG_IS);
+    run_to_completion(&coordinator, &other_seed);
+    assert!(log.exists(), "the second job fits the bound and is appended");
+    assert_eq!(coordinator.cache_len() as u64, bound);
+
+    let added = run_to_completion(&coordinator, &superset).simulated_cells;
+    assert!(added > 0, "the superset's third workload is new");
+    assert!(!log.exists(), "a job that evicts folds the journal away");
+    assert_eq!(file_len(&dir.join("cache.bin")), 32 + 64 * bound);
+    drop(coordinator);
+
+    for max in [None, Some(bound)] {
+        let reopened =
+            Coordinator::open(CoordinatorConfig { cache_max_records: max, ..config.clone() })
+                .expect("reopen");
+        assert_eq!(reopened.cache_len() as u64, bound, "evicted cells came back (bound {max:?})");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job that adds no cell does no cache I/O: `cache.bin` keeps its
+/// bytes and its inode, and no journal appears.
+#[test]
+fn a_warm_job_writes_nothing() {
+    let dir = temp_dir("warm-nothing");
+    let (bin, log) = (dir.join("cache.bin"), dir.join("cache.log"));
+    let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("open");
+    run_to_completion(&coordinator, SPEC_MG);
+    let before = std::fs::read(&bin).expect("the cold job folded");
+    #[cfg(unix)]
+    let inode = || std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(&bin).expect("stat"));
+    #[cfg(unix)]
+    let first_inode = inode();
+
+    assert_eq!(run_to_completion(&coordinator, SPEC_MG).simulated_cells, 0);
+    assert_eq!(std::fs::read(&bin).expect("cache.bin"), before);
+    #[cfg(unix)]
+    assert_eq!(inode(), first_inode, "cache.bin was rewritten");
+    assert!(!log.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An unreadable `queue.json` is renamed aside, not overwritten by the
+/// next persist, and a second one never overwrites the first.
+#[test]
+fn an_unreadable_queue_snapshot_is_quarantined_not_overwritten() {
+    let dir = temp_dir("quarantine");
+    std::fs::create_dir_all(&dir).expect("state dir");
+    let queue = dir.join("queue.json");
+    let garbage: &[u8] = b"{\"jobs\": [ truncated";
+    std::fs::write(&queue, garbage).expect("write queue.json");
+
+    let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("cold start");
+    run_to_completion(&coordinator, SPEC_MG);
+    drop(coordinator);
+    let first = dir.join("queue.json.corrupt.1");
+    assert_eq!(std::fs::read(&first).expect("quarantined file"), garbage);
+    assert!(std::fs::read_to_string(&queue).expect("a fresh queue.json").contains("jobs"));
+
+    let not_utf8: &[u8] = b"\xff\xfe not text";
+    std::fs::write(&queue, not_utf8).expect("write queue.json");
+    Coordinator::open(CoordinatorConfig::new(&dir)).expect("cold start");
+    assert_eq!(std::fs::read(&first).expect("first quarantine"), garbage);
+    assert_eq!(
+        std::fs::read(dir.join("queue.json.corrupt.2")).expect("second quarantine"),
+        not_utf8
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

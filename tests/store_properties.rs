@@ -3,13 +3,16 @@
 //! cache contents, survive arbitrary truncation and byte flips by
 //! skipping exactly the damaged records, merge with last-write-wins,
 //! and warm-start a real fleet run with zero new simulated cells.
+//! Journals built by `store::append` load to the union of their
+//! appends, with the same tolerance of cuts and flipped bytes and the
+//! same refusal of foreign key semantics.
 
 use hmpt_repro::core::cache::CellKey;
 use hmpt_repro::core::error::TunerError;
 use hmpt_repro::core::measure::CellOutcome;
 use hmpt_repro::core::store;
 use hmpt_repro::core::MeasurementCache;
-use hmpt_repro::sim::fingerprint::Fingerprint;
+use hmpt_repro::sim::fingerprint::{Fingerprint, StableHasher};
 use hmpt_repro::sim::pool::PoolKind;
 use proptest::prelude::*;
 
@@ -71,8 +74,132 @@ fn entry_matches(
     }
 }
 
+/// Write `batches` to a fresh journal, one `store::append` each, and
+/// return its bytes and the offset of each append's first record.
+fn journal_of(name: &str, batches: &[Vec<Entry>]) -> (Vec<u8>, Vec<usize>) {
+    let path = std::env::temp_dir().join(format!("hmpt-journal-{name}-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut starts = Vec::new();
+    let mut records = 0;
+    for batch in batches {
+        starts.push(32 + 64 * records);
+        let saved = store::append(&path, batch).expect("append");
+        assert_eq!(saved.saved as usize, batch.len());
+        records += batch.len();
+    }
+    let bytes = std::fs::read(&path).unwrap_or_default();
+    let _ = std::fs::remove_file(&path);
+    (bytes, starts)
+}
+
+/// `bytes` with the header's semantics version rewritten and its
+/// checksum recomputed, as a writer of that version would stamp it.
+fn restamped(bytes: &[u8], semantics: u32) -> Vec<u8> {
+    let mut b = bytes.to_vec();
+    b[12..16].copy_from_slice(&semantics.to_le_bytes());
+    let sum = StableHasher::new().write_bytes(&b[..24]).finish();
+    b[24..32].copy_from_slice(&sum.to_le_bytes());
+    b
+}
+
+/// Every entry of `expected` (and nothing else) is in `loaded`, bit for
+/// bit.
+fn same_content(expected: &MeasurementCache, loaded: &MeasurementCache) -> bool {
+    expected.len() == loaded.len()
+        && expected
+            .entries()
+            .iter()
+            .all(|(k, v)| loaded.get(k).is_some_and(|l| entry_matches(v, &l)))
+}
+
+fn arb_batches() -> impl Strategy<Value = Vec<Vec<Entry>>> {
+    prop::collection::vec(prop::collection::vec((arb_key(), arb_value()), 0..12), 1..6)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A journal of k appends declares 0 records and loads to the union
+    /// of the appended entries (a key appended twice: the later value).
+    #[test]
+    fn a_journal_of_appends_loads_to_their_union(batches in arb_batches()) {
+        let (bytes, _) = journal_of("union", &batches);
+        let all: Vec<Entry> = batches.concat();
+        prop_assert_eq!(bytes.len(), 32 + 64 * all.len());
+        prop_assert_eq!(&bytes[16..24], &0u64.to_le_bytes()[..]);
+
+        let restored = MeasurementCache::new();
+        let report = store::from_bytes(&bytes, &restored).unwrap();
+        prop_assert_eq!(report.loaded as usize, all.len());
+        prop_assert!(report.is_clean());
+        prop_assert!(same_content(&cache_of(&all), &restored));
+    }
+
+    /// Cutting the journal anywhere inside its last append loses only
+    /// the records after the cut; everything before it loads.
+    #[test]
+    fn a_cut_inside_the_last_append_loses_only_the_records_after_it(
+        batches in arb_batches(),
+        cut_seed in 0usize..1_000_000,
+    ) {
+        let (bytes, starts) = journal_of("cut", &batches);
+        let start = *starts.last().expect("at least one append");
+        let cut = start + cut_seed % (bytes.len() - start + 1);
+        let kept = (cut - 32) / 64;
+
+        let restored = MeasurementCache::new();
+        let report = store::from_bytes(&bytes[..cut], &restored).unwrap();
+        prop_assert_eq!(report.loaded as usize, kept);
+        prop_assert_eq!(report.skipped, 0);
+        prop_assert_eq!(report.truncated, (cut - 32) % 64 != 0);
+        prop_assert!(same_content(&cache_of(&batches.concat()[..kept]), &restored));
+    }
+
+    /// Flipping one byte of a journal's records skips exactly the record
+    /// that holds it.
+    #[test]
+    fn a_flipped_journal_byte_skips_exactly_one_record(
+        batches in arb_batches(),
+        last in (arb_key(), arb_value()),
+        pos_seed in 0usize..1_000_000,
+        flip in 1u8..=255,
+    ) {
+        let mut batches = batches;
+        batches.last_mut().expect("at least one append").push(last);
+        let (mut bytes, _) = journal_of("flip", &batches);
+        let pos = 32 + pos_seed % (bytes.len() - 32);
+        bytes[pos] ^= flip;
+        let mut survivors = batches.concat();
+        let _damaged = survivors.remove((pos - 32) / 64);
+
+        let restored = MeasurementCache::new();
+        let report = store::from_bytes(&bytes, &restored).unwrap();
+        prop_assert_eq!(report.skipped, 1);
+        prop_assert_eq!(report.loaded as usize, survivors.len());
+        prop_assert!(!report.truncated);
+        prop_assert!(same_content(&cache_of(&survivors), &restored));
+    }
+
+    /// A journal stamped with foreign key semantics is refused whole, as
+    /// a snapshot of the same entries is.
+    #[test]
+    fn a_journal_with_foreign_semantics_is_refused_like_a_snapshot(
+        batches in arb_batches(),
+        semantics in any::<u32>()
+            .prop_map(|v| if v == store::SEMANTICS_VERSION { v + 1 } else { v }),
+    ) {
+        let (journal, _) = journal_of("semantics", &batches);
+        let (snapshot, _) = store::to_bytes(&cache_of(&batches.concat()));
+        for bytes in [journal, snapshot] {
+            let cache = MeasurementCache::new();
+            let refused = store::from_bytes(&restamped(&bytes, semantics), &cache);
+            prop_assert!(
+                matches!(refused, Err(store::StoreError::SemanticsMismatch { found }) if found == semantics),
+                "{:?}", refused
+            );
+            prop_assert!(cache.is_empty());
+        }
+    }
 
     /// Snapshot bytes round-trip every entry bit-for-bit, and are a
     /// deterministic (sorted) function of cache content.
@@ -213,4 +340,63 @@ fn snapshot_warm_starts_a_fleet_with_zero_new_cells() {
         );
     }
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Save-on-finish skips a snapshot that already holds the cache — the
+/// preload read all of it and the run added no cell — on both the fleet
+/// (batch) and the matrix path, and rewrites one the preload could only
+/// partly read. The rename of a rewrite gives the file a new inode.
+#[cfg(unix)]
+#[test]
+fn save_on_finish_skips_an_unchanged_snapshot_and_heals_a_damaged_one() {
+    use std::os::unix::fs::MetadataExt;
+
+    use hmpt_fleet::api::{self, Request};
+    use hmpt_fleet::spec::CampaignSpec;
+    use hmpt_fleet::{Fleet, FleetConfig, TuningJob};
+
+    let inode = |path: &std::path::Path| std::fs::metadata(path).expect("snapshot").ino();
+    let dir = std::env::temp_dir().join(format!("hmpt-save-skip-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // The fleet path: a second fleet over the same snapshot adds nothing.
+    let batch_path = dir.join("batch.bin");
+    let cfg = FleetConfig {
+        online_check: false,
+        cache_path: Some(batch_path.clone()),
+        ..FleetConfig::default()
+    };
+    let jobs = [TuningJob::new(hmpt_repro::workloads::npb::mg::workload())];
+    Fleet::new(cfg.clone()).run(&jobs).unwrap();
+    let cold = inode(&batch_path);
+    let warm = Fleet::new(cfg);
+    warm.run(&jobs).unwrap();
+    assert_eq!(inode(&batch_path), cold, "a warm batch rewrote an unchanged snapshot");
+    assert!(warm.persist().unwrap().is_none());
+
+    // The matrix path.
+    let matrix_path = dir.join("matrix.bin");
+    let spec = format!(
+        "mode = \"matrix\"\nzoo = [\"xeon-max\"]\nworkloads = [\"mg\"]\n\
+         [execution]\nverify = false\n[cache]\nfile = \"{}\"\n",
+        matrix_path.display()
+    );
+    let request = Request::from_spec(CampaignSpec::parse(&spec).unwrap()).unwrap();
+    api::execute(&request).unwrap();
+    let written = std::fs::read(&matrix_path).unwrap();
+    let cold = inode(&matrix_path);
+    api::execute(&request).unwrap();
+    assert_eq!(inode(&matrix_path), cold, "a warm matrix run rewrote an unchanged snapshot");
+
+    // A flipped byte costs the preload one record, so the run rewrites
+    // the snapshot whole, with the record it re-simulated.
+    let mut damaged = written.clone();
+    damaged[32 + 40] ^= 0x40;
+    std::fs::write(&matrix_path, &damaged).unwrap();
+    let before = inode(&matrix_path);
+    api::execute(&request).unwrap();
+    assert_ne!(inode(&matrix_path), before, "a partly read snapshot must be rewritten");
+    assert_eq!(std::fs::read(&matrix_path).unwrap(), written);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
