@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hmpt_core::campaign::CampaignPlan;
 use hmpt_core::driver::Driver;
-use hmpt_core::exec::SerialExecutor;
+use hmpt_core::exec::ExecutorKind;
 use hmpt_core::grouping::{group, GroupingConfig};
 use hmpt_core::measure::CampaignConfig;
 use hmpt_sim::machine::xeon_max_9468;
@@ -37,21 +37,21 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
 
     g.bench_function("naive_cold", |b| {
-        b.iter(|| black_box(plan(false).execute(&SerialExecutor).expect("campaign")))
+        b.iter(|| black_box(plan(false).execute(&ExecutorKind::Serial).expect("campaign")))
     });
     g.bench_function("fast_cold", |b| {
-        b.iter(|| black_box(plan(true).execute(&SerialExecutor).expect("campaign")))
+        b.iter(|| black_box(plan(true).execute(&ExecutorKind::Serial).expect("campaign")))
     });
 
     let warm_naive = plan(false);
-    warm_naive.execute(&SerialExecutor).expect("warm-up");
+    warm_naive.execute(&ExecutorKind::Serial).expect("warm-up");
     g.bench_function("naive_warm", |b| {
-        b.iter(|| black_box(warm_naive.execute(&SerialExecutor).expect("campaign")))
+        b.iter(|| black_box(warm_naive.execute(&ExecutorKind::Serial).expect("campaign")))
     });
     let warm_fast = plan(true);
-    warm_fast.execute(&SerialExecutor).expect("warm-up");
+    warm_fast.execute(&ExecutorKind::Serial).expect("warm-up");
     g.bench_function("fast_warm", |b| {
-        b.iter(|| black_box(warm_fast.execute(&SerialExecutor).expect("campaign")))
+        b.iter(|| black_box(warm_fast.execute(&ExecutorKind::Serial).expect("campaign")))
     });
     g.finish();
 }

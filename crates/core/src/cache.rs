@@ -20,8 +20,8 @@
 //! analysis result, only skip simulated runs.
 //!
 //! The cache lives in `hmpt_core` (historically it was private to the
-//! `hmpt-fleet` service layer) so any campaign front end — [`Driver`],
-//! the online tuner, sensitivity sweeps, the fleet — can interpose it
+//! `hmpt-fleet` service layer) so any campaign front end — a
+//! [`CampaignPlan`], the online tuner, the fleet — can interpose it
 //! through [`CachingExecutor`]. The four fingerprints are taken once
 //! per campaign by [`CampaignPlan`]; building a cell key costs two
 //! 64-bit hash mixes, not a serialization of the whole object tree.
@@ -30,7 +30,6 @@
 //! too: re-asking whether a placement fits is as redundant as re-timing
 //! it.
 //!
-//! [`Driver`]: crate::driver::Driver
 //! [`CachingExecutor`]: crate::exec::CachingExecutor
 //! [`CampaignPlan`]: crate::campaign::CampaignPlan
 

@@ -682,7 +682,7 @@ impl CellSink for Assembler {
 mod tests {
     use super::*;
     use crate::configspace::MAX_GROUPS;
-    use crate::exec::{CachingExecutor, ExecutorKind, ParallelExecutor, SerialExecutor};
+    use crate::exec::{CachingExecutor, ExecutorKind};
     use crate::measure::run_campaign;
     use hmpt_sim::machine::xeon_max_9468;
 
@@ -751,7 +751,7 @@ mod tests {
         let (spec, groups) = mg_groups();
         let plan = CampaignPlan::new(&m, &spec, &groups, CampaignConfig::default()).unwrap();
         let mut sink = Keys(Vec::new());
-        plan.stream(&SerialExecutor, 5, &mut sink).unwrap();
+        plan.stream(&ExecutorKind::Serial, 5, &mut sink).unwrap();
         let enumerated: Vec<CellKey> = plan.cells().map(|c| c.key).collect();
         assert_eq!(sink.0, enumerated, "a plain executor sees the real content keys");
     }
@@ -764,7 +764,7 @@ mod tests {
         let eager = run_campaign(&m, &spec, &groups, &cfg).unwrap();
         for chunk in [1, 3, 7, 1024] {
             let plan = CampaignPlan::new(&m, &spec, &groups, cfg).unwrap();
-            let streamed = plan.execute_chunked(&SerialExecutor, chunk).unwrap();
+            let streamed = plan.execute_chunked(&ExecutorKind::Serial, chunk).unwrap();
             assert_bit_identical(&eager, &streamed);
             assert_eq!(streamed.executed_runs, streamed.planned_runs);
         }
@@ -796,7 +796,7 @@ mod tests {
         let plan = CampaignPlan::new(&m, &spec, &groups, cfg)
             .unwrap()
             .with_policy(RepPolicy::confidence(0.02, cfg.runs_per_config));
-        let r = plan.execute(&SerialExecutor).unwrap();
+        let r = plan.execute(&ExecutorKind::Serial).unwrap();
         assert_eq!(r.planned_runs, 24);
         assert!(
             r.executed_runs < r.planned_runs,
@@ -822,13 +822,13 @@ mod tests {
         let serial = CampaignPlan::new(&m, &spec, &groups, cfg)
             .unwrap()
             .with_policy(policy)
-            .execute(&SerialExecutor)
+            .execute(&ExecutorKind::Serial)
             .unwrap();
         for workers in [2, 3, 7] {
             let par = CampaignPlan::new(&m, &spec, &groups, cfg)
                 .unwrap()
                 .with_policy(policy)
-                .execute(&ParallelExecutor::with_workers(workers))
+                .execute(&ExecutorKind::Parallel { workers })
                 .unwrap();
             assert_bit_identical(&serial, &par);
             assert_eq!(serial.executed_runs, par.executed_runs, "workers = {workers}");
@@ -856,7 +856,7 @@ mod tests {
         let plan = CampaignPlan::new(&m, &spec, &groups, cfg)
             .unwrap()
             .with_policy(RepPolicy::confidence(0.01, 5));
-        let r = plan.execute(&SerialExecutor).unwrap();
+        let r = plan.execute(&ExecutorKind::Serial).unwrap();
         // Zero variance: every config retires right at min_reps = 2.
         assert_eq!(r.executed_runs, 8 * 2);
         assert_eq!(r.planned_runs, 8 * 5);
@@ -874,7 +874,7 @@ mod tests {
         let r = CampaignPlan::new(&m, &spec, &groups, cfg)
             .unwrap()
             .with_policy(policy)
-            .execute(&SerialExecutor)
+            .execute(&ExecutorKind::Serial)
             .unwrap();
         assert_eq!(r.planned_runs, 8);
         assert_eq!(r.executed_runs, 8, "one repetition per configuration, never more");
@@ -916,7 +916,7 @@ mod tests {
         let cfg = CampaignConfig { runs_per_config: 1, ..Default::default() };
         let subset = vec![Config(0), Config(0b111)];
         let plan = CampaignPlan::with_configs(&m, &spec, &groups, subset, cfg);
-        let r = plan.execute(&SerialExecutor).unwrap();
+        let r = plan.execute(&ExecutorKind::Serial).unwrap();
         assert_eq!(r.measurements.len(), 2);
         let full = run_campaign(&m, &spec, &groups, &cfg).unwrap();
         assert_eq!(

@@ -9,8 +9,6 @@
 //! 5. **Plan** — emit the best placement plan (optionally under a
 //!    capacity budget via [`crate::planner`]).
 
-use std::sync::Arc;
-
 use hmpt_alloc::plan::PlacementPlan;
 use hmpt_perf::stats::AccessStats;
 use hmpt_sim::machine::Machine;
@@ -18,11 +16,10 @@ use hmpt_workloads::model::WorkloadSpec;
 use hmpt_workloads::runner::{run_once, RunConfig, RunOutcome};
 
 use crate::analysis::{DetailedView, SummaryView};
-use crate::cache::MeasurementCache;
 use crate::campaign::{CampaignPlan, RepPolicy};
 use crate::error::TunerError;
 use crate::estimate::LinearEstimator;
-use crate::exec::{cell_executor, ExecutorKind};
+use crate::exec::ExecutorKind;
 use crate::grouping::{group, AllocationGroup, GroupingConfig};
 use crate::measure::{CampaignConfig, CampaignResult};
 use crate::metrics::Table2Row;
@@ -85,11 +82,6 @@ pub struct Driver {
     /// default; adaptive policies stop early, bit-identically across
     /// executors).
     pub rep_policy: RepPolicy,
-    /// Optional shared measurement cache, consulted per cell through a
-    /// [`crate::exec::CachingExecutor`]. A warmed cache never changes a result —
-    /// cells are content-keyed down to the derived seed — it only skips
-    /// simulated runs.
-    pub cache: Option<Arc<MeasurementCache>>,
     /// Whether campaign plans may use the batched cold-path kernel
     /// ([`crate::fastpath::FastCampaign`]; bit-identical by contract, so
     /// on by default).
@@ -105,7 +97,6 @@ impl Driver {
             profile_seed: 7,
             executor: ExecutorKind::Serial,
             rep_policy: RepPolicy::Fixed,
-            cache: None,
             fast_path: true,
         }
     }
@@ -127,11 +118,6 @@ impl Driver {
 
     pub fn with_rep_policy(mut self, rep_policy: RepPolicy) -> Self {
         self.rep_policy = rep_policy;
-        self
-    }
-
-    pub fn with_cache(mut self, cache: Arc<MeasurementCache>) -> Self {
-        self.cache = Some(cache);
         self
     }
 
@@ -162,10 +148,9 @@ impl Driver {
             .with_fast_path(self.fast_path))
     }
 
-    /// Execute a campaign plan with the driver's executor, consulting
-    /// the driver's cache (if configured) per cell.
+    /// Execute a campaign plan with the driver's executor.
     pub fn run_plan(&self, plan: &CampaignPlan<'_>) -> Result<CampaignResult, TunerError> {
-        plan.execute(&*cell_executor(self.executor, self.cache.clone()))
+        plan.execute(&self.executor)
     }
 
     /// The full pipeline.
@@ -298,22 +283,6 @@ mod tests {
         let a = d.analyze(&spec).unwrap();
         // 2^3 configs × 1 run + 1 profile run.
         assert_eq!(a.total_runs(), 9);
-    }
-
-    #[test]
-    fn cached_driver_is_bit_identical_and_skips_reruns() {
-        let spec = hmpt_workloads::npb::mg::workload();
-        let cache = Arc::new(MeasurementCache::new());
-        let cached_driver = Driver::new(xeon_max_9468()).with_cache(Arc::clone(&cache));
-        let first = cached_driver.analyze(&spec).unwrap();
-        assert_eq!(cache.stats().misses as usize, first.campaign.total_runs());
-        let second = cached_driver.analyze(&spec).unwrap();
-        // Re-analysis re-profiles but answers every campaign cell from
-        // the cache.
-        assert_eq!(cache.stats().misses as usize, first.campaign.total_runs());
-        assert_eq!(first.table2.max_speedup.to_bits(), second.table2.max_speedup.to_bits());
-        let plain = Driver::new(xeon_max_9468()).analyze(&spec).unwrap();
-        assert_eq!(plain.table2.max_speedup.to_bits(), first.table2.max_speedup.to_bits());
     }
 
     #[test]

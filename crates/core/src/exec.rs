@@ -2,29 +2,29 @@
 //!
 //! The measurement campaign is embarrassingly parallel: every
 //! (configuration, repetition) cell is an independent simulated run with
-//! its own derived seed. [`RunExecutor`] abstracts *how* a batch of
-//! index-addressed cells is evaluated; [`SerialExecutor`] runs them in
-//! order on the calling thread, [`ParallelExecutor`] fans them out over a
-//! work-stealing pool of std threads. Results are always reassembled in
-//! canonical index order, so the two executors are **bit-identical** —
-//! the parallel path changes wall-clock time, never results.
+//! its own derived seed. [`ExecutorKind`] names *how* a batch of
+//! index-addressed items is evaluated: [`ExecutorKind::Serial`] runs them
+//! in order on the calling thread, [`ExecutorKind::Parallel`] fans them
+//! out over a work-stealing pool of std threads. Results are always
+//! reassembled in canonical index order, so the two strategies are
+//! **bit-identical** — the pool changes wall-clock time, never results.
+//! The same code runs a batch of campaign cells and the fleet's batch
+//! of concurrent jobs (whose cells then run serially).
 //!
-//! On top of the index-level abstraction sits the *cell* level:
-//! [`CellExecutor`] evaluates batches of campaign cells
-//! ([`crate::campaign::CellSpec`]) — every [`RunExecutor`] is trivially
-//! a [`CellExecutor`], and [`CachingExecutor`] wraps any of them with a
+//! On top of the index level sits the *cell* level: [`CellExecutor`]
+//! evaluates batches of campaign cells ([`crate::campaign::CellSpec`]) —
+//! [`ExecutorKind`] is one, and [`CachingExecutor`] wraps one with a
 //! content-addressed [`MeasurementCache`] consult per cell. Caching at
 //! the executor layer (instead of inside one front end) means the
-//! driver, the online tuner, sensitivity sweeps, and the fleet all
-//! share the same cache plumbing. Every cell reaches every executor
-//! with its real content key: deriving one costs two hash mixes, so
-//! plain executors simply ignore it.
+//! campaign plan, the online tuner and the fleet share the same cache
+//! plumbing. Every cell reaches every executor with its real content
+//! key: deriving one costs two hash mixes, so plain executors simply
+//! ignore it.
 //!
 //! This module is the in-tree home of the abstraction so the tuner
-//! pipeline ([`crate::measure`], [`crate::driver`], [`crate::online`],
-//! [`crate::sensitivity`]) can thread it through without a dependency
-//! cycle; the `hmpt-fleet` crate re-exports it as part of the fleet
-//! subsystem's public surface.
+//! pipeline ([`crate::campaign`], [`crate::driver`], [`crate::online`])
+//! can thread it through without a dependency cycle; the `hmpt-fleet`
+//! crate re-exports it as part of the fleet subsystem's public surface.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,87 +35,57 @@ use crate::campaign::CellSpec;
 use crate::error::TunerError;
 use crate::measure::CellOutcome;
 
-/// Evaluate `n` independent cells `f(0) .. f(n-1)`, returning results in
-/// index order regardless of execution order.
-pub trait RunExecutor: Sync {
-    fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync;
-
-    /// Human-readable label for reports.
-    fn label(&self) -> String;
-}
-
-/// In-order execution on the calling thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SerialExecutor;
-
-impl RunExecutor for SerialExecutor {
-    fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        (0..n).map(f).collect()
-    }
-
-    fn label(&self) -> String {
-        "serial".to_string()
-    }
-}
-
 /// The host's available parallelism (≥ 1).
 pub fn available_workers() -> usize {
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Work-stealing thread-pool execution.
-///
-/// Workers pull the next unclaimed cell index from a shared atomic
-/// counter (dynamic scheduling: a slow cell never blocks the queue
-/// behind it), collect `(index, result)` pairs locally, and the results
-/// are scattered back into canonical index order at the join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelExecutor {
-    workers: usize,
+/// How a batch of independent items `f(0) .. f(n-1)` is evaluated.
+/// Copyable, so driver, online and fleet configs carry it by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecutorKind {
+    /// In order, on the calling thread.
+    #[default]
+    Serial,
+    /// On a work-stealing pool of `workers` threads; `workers == 0`
+    /// means one per available CPU, resolved at run time.
+    Parallel { workers: usize },
 }
 
-impl ParallelExecutor {
-    /// Pool sized to the host's available parallelism.
-    pub fn new() -> Self {
-        Self::with_workers(available_workers())
+impl ExecutorKind {
+    /// Auto-sized parallel executor.
+    pub fn parallel() -> Self {
+        ExecutorKind::Parallel { workers: 0 }
     }
 
-    /// Pool with an explicit worker count (`0` = auto-detect).
-    pub fn with_workers(workers: usize) -> Self {
-        let workers = if workers == 0 { available_workers() } else { workers };
-        ParallelExecutor { workers }
-    }
-
+    /// Threads a batch runs on: 1 for [`ExecutorKind::Serial`], the
+    /// resolved pool size otherwise.
     pub fn workers(&self) -> usize {
-        self.workers
+        match *self {
+            ExecutorKind::Serial => 1,
+            ExecutorKind::Parallel { workers: 0 } => available_workers(),
+            ExecutorKind::Parallel { workers } => workers,
+        }
     }
-}
 
-impl Default for ParallelExecutor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RunExecutor for ParallelExecutor {
-    fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
+    /// Evaluate `f(0) .. f(n-1)`, returning results in index order
+    /// regardless of execution order.
+    ///
+    /// The pool is dynamic: workers pull the next unclaimed index from a
+    /// shared atomic counter (a slow item never blocks the queue behind
+    /// it), collect `(index, result)` pairs locally, and the results are
+    /// scattered back into canonical order at the join.
+    pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let workers = self.workers.min(n);
+        let workers = self.workers().min(n);
         if workers <= 1 {
-            return SerialExecutor.run(n, f);
+            return (0..n).map(f).collect();
         }
         // Telemetry: how often the pool spins up, how many workers it
-        // spawns, how many cells each steals off the shared queue, and
+        // spawns, how many items each steals off the shared queue, and
         // how many workers drain the queue dry (went idle). Counter
         // handles are resolved once, outside the claim loop.
         let c_batches = hmpt_obs::counter("exec.parallel.batches");
@@ -147,53 +117,19 @@ impl RunExecutor for ParallelExecutor {
                 .collect();
             let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
             for h in handles {
-                for (i, v) in h.join().expect("campaign worker panicked") {
+                for (i, v) in h.join().expect("executor pool worker panicked") {
                     slots[i] = Some(v);
                 }
             }
-            slots.into_iter().map(|s| s.expect("every cell claimed exactly once")).collect()
+            slots.into_iter().map(|s| s.expect("every item claimed exactly once")).collect()
         })
     }
 
-    fn label(&self) -> String {
-        format!("parallel×{}", self.workers)
-    }
-}
-
-/// Copyable executor choice carried by driver/online/sensitivity configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorKind {
-    #[default]
-    Serial,
-    /// `workers == 0` means auto-detect at run time.
-    Parallel { workers: usize },
-}
-
-impl ExecutorKind {
-    /// Auto-sized parallel executor.
-    pub fn parallel() -> Self {
-        ExecutorKind::Parallel { workers: 0 }
-    }
-}
-
-impl RunExecutor for ExecutorKind {
-    fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
+    /// Human-readable label for reports.
+    pub fn label(&self) -> String {
         match self {
-            ExecutorKind::Serial => SerialExecutor.run(n, f),
-            ExecutorKind::Parallel { workers } => {
-                ParallelExecutor::with_workers(*workers).run(n, f)
-            }
-        }
-    }
-
-    fn label(&self) -> String {
-        match self {
-            ExecutorKind::Serial => SerialExecutor.label(),
-            ExecutorKind::Parallel { workers } => ParallelExecutor::with_workers(*workers).label(),
+            ExecutorKind::Serial => "serial".to_string(),
+            ExecutorKind::Parallel { .. } => format!("parallel×{}", self.workers()),
         }
     }
 }
@@ -213,8 +149,8 @@ pub trait CellExecutor: Sync {
     fn describe(&self) -> String;
 }
 
-/// Every index-level executor evaluates cells by index.
-impl<E: RunExecutor> CellExecutor for E {
+/// Every executor strategy evaluates cells by index.
+impl CellExecutor for ExecutorKind {
     fn run_cells(
         &self,
         cells: &[CellSpec],
@@ -238,13 +174,13 @@ impl<E: RunExecutor> CellExecutor for E {
 /// noise ⊕ seed — a hit returns the bit-identical outcome the run
 /// would have produced.
 #[derive(Debug, Clone)]
-pub struct CachingExecutor<E: RunExecutor = ExecutorKind> {
-    inner: E,
+pub struct CachingExecutor {
+    inner: ExecutorKind,
     cache: Arc<MeasurementCache>,
 }
 
-impl<E: RunExecutor> CachingExecutor<E> {
-    pub fn new(inner: E, cache: Arc<MeasurementCache>) -> Self {
+impl CachingExecutor {
+    pub fn new(inner: ExecutorKind, cache: Arc<MeasurementCache>) -> Self {
         CachingExecutor { inner, cache }
     }
 
@@ -252,12 +188,12 @@ impl<E: RunExecutor> CachingExecutor<E> {
         &self.cache
     }
 
-    pub fn inner(&self) -> &E {
-        &self.inner
+    pub fn inner(&self) -> ExecutorKind {
+        self.inner
     }
 }
 
-impl<E: RunExecutor> CellExecutor for CachingExecutor<E> {
+impl CellExecutor for CachingExecutor {
     fn run_cells(
         &self,
         cells: &[CellSpec],
@@ -278,10 +214,9 @@ impl<E: RunExecutor> CellExecutor for CachingExecutor<E> {
     }
 }
 
-/// The standard executor stack: an index-level executor choice,
-/// optionally wrapped in a measurement cache. The one place the
-/// cache-or-plain branch lives — the driver and the fleet both build
-/// their stacks here.
+/// The standard executor stack: an executor strategy, optionally
+/// wrapped in a measurement cache. The one place the cache-or-plain
+/// branch lives — the fleet builds its stack here.
 pub fn cell_executor(
     kind: ExecutorKind,
     cache: Option<Arc<MeasurementCache>>,
@@ -298,16 +233,16 @@ mod tests {
 
     #[test]
     fn serial_preserves_order() {
-        let out = SerialExecutor.run(8, |i| i * i);
+        let out = ExecutorKind::Serial.run(8, |i| i * i);
         assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49]);
     }
 
     #[test]
     fn parallel_matches_serial_exactly() {
         let f = |i: usize| (i as f64 * 0.1).sin();
-        let serial = SerialExecutor.run(1000, f);
+        let serial = ExecutorKind::Serial.run(1000, f);
         for workers in [1, 2, 3, 8] {
-            let par = ParallelExecutor::with_workers(workers).run(1000, f);
+            let par = ExecutorKind::Parallel { workers }.run(1000, f);
             assert_eq!(serial, par, "workers = {workers}");
         }
     }
@@ -317,7 +252,7 @@ mod tests {
         use std::collections::HashSet;
         use std::sync::Mutex;
         let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        ParallelExecutor::with_workers(4).run(64, |_| {
+        ExecutorKind::Parallel { workers: 4 }.run(64, |_| {
             seen.lock().unwrap().insert(std::thread::current().id());
             std::thread::sleep(std::time::Duration::from_micros(200));
         });
@@ -329,7 +264,8 @@ mod tests {
 
     #[test]
     fn zero_workers_auto_detects() {
-        assert_eq!(ParallelExecutor::with_workers(0).workers(), available_workers());
+        assert_eq!(ExecutorKind::parallel().workers(), available_workers());
+        assert_eq!(ExecutorKind::Serial.workers(), 1);
         assert!(available_workers() >= 1);
     }
 
@@ -344,7 +280,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let out: Vec<u32> = ParallelExecutor::new().run(0, |_| unreachable!());
+        let out: Vec<u32> = ExecutorKind::parallel().run(0, |_| unreachable!());
         assert!(out.is_empty());
     }
 
@@ -366,13 +302,15 @@ mod tests {
     }
 
     #[test]
-    fn run_executors_are_cell_executors() {
+    fn executor_kinds_are_cell_executors() {
         let cells = synthetic_cells(5);
         let measure = |c: &CellSpec| Ok(CellOutcome { time_s: c.rep as f64, hbm_fraction: 0.0 });
-        let out = CellExecutor::run_cells(&SerialExecutor, &cells, &measure);
-        assert_eq!(out.len(), 5);
-        assert_eq!(out[3].as_ref().unwrap().time_s, 3.0);
-        assert_eq!(CellExecutor::describe(&SerialExecutor), "serial");
+        for kind in [ExecutorKind::Serial, ExecutorKind::Parallel { workers: 2 }] {
+            let out = CellExecutor::run_cells(&kind, &cells, &measure);
+            assert_eq!(out.len(), 5);
+            assert_eq!(out[3].as_ref().unwrap().time_s, 3.0);
+        }
+        assert_eq!(CellExecutor::describe(&ExecutorKind::Serial), "serial");
     }
 
     #[test]
@@ -394,6 +332,6 @@ mod tests {
         }
         assert_eq!(cache.stats().hits, 4);
         assert!(exec.describe().contains("cache"));
-        assert_eq!(exec.inner(), &ExecutorKind::Serial);
+        assert_eq!(exec.inner(), ExecutorKind::Serial);
     }
 }

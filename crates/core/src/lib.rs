@@ -57,9 +57,7 @@ pub use cache::{CacheStats, CellKey, MeasurementCache};
 pub use campaign::{CampaignPlan, CellSink, CellSpec, RepPolicy};
 pub use driver::{Analysis, Driver};
 pub use error::TunerError;
-pub use exec::{
-    CachingExecutor, CellExecutor, ExecutorKind, ParallelExecutor, RunExecutor, SerialExecutor,
-};
+pub use exec::{CachingExecutor, CellExecutor, ExecutorKind};
 pub use grouping::{AllocationGroup, GroupingConfig};
 pub use metrics::Table2Row;
 pub use scenario::{

@@ -8,8 +8,8 @@
 //! and streamed in bounded chunks through any
 //! [`crate::exec::CellExecutor`] with bit-identical
 //! results ([`run_campaign_with`]). Caching composes at the executor
-//! layer ([`crate::exec::CachingExecutor`]), so the driver, the online
-//! tuner, sensitivity sweeps, and the fleet all share it.
+//! layer ([`crate::exec::CachingExecutor`]), so the campaign and the
+//! online tuner's probes share it.
 //!
 //! This module keeps the campaign *vocabulary* — settings
 //! ([`CampaignConfig`]), per-cell outcomes ([`CellOutcome`]), assembled
@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use crate::campaign::CampaignPlan;
 use crate::configspace::Config;
 use crate::error::TunerError;
-use crate::exec::{CellExecutor, SerialExecutor};
+use crate::exec::{CellExecutor, ExecutorKind};
 use crate::grouping::AllocationGroup;
 
 /// Campaign parameters.
@@ -277,9 +277,8 @@ pub fn assemble_config(
     Ok(ConfigMeasurement { config, mean_s: mean, std_s: var.sqrt(), hbm_fraction })
 }
 
-/// Measure one configuration (`n` runs, averaged) through an executor.
-pub fn measure_config_with<E: CellExecutor + ?Sized>(
-    exec: &E,
+/// Measure one configuration (`n` runs, averaged) serially.
+pub fn measure_config(
     machine: &Machine,
     spec: &WorkloadSpec,
     groups: &[AllocationGroup],
@@ -289,18 +288,7 @@ pub fn measure_config_with<E: CellExecutor + ?Sized>(
     // `CampaignPlan::measure_config` applies the same `.max(1)` floor as
     // campaign execution, so a degenerate `runs_per_config: 0` takes one
     // sample instead of producing NaN.
-    CampaignPlan::new(machine, spec, groups, *cfg)?.measure_config(exec, config)
-}
-
-/// Measure one configuration (`n` runs, averaged) serially.
-pub fn measure_config(
-    machine: &Machine,
-    spec: &WorkloadSpec,
-    groups: &[AllocationGroup],
-    config: Config,
-    cfg: &CampaignConfig,
-) -> Result<ConfigMeasurement, TunerError> {
-    measure_config_with(&SerialExecutor, machine, spec, groups, config, cfg)
+    CampaignPlan::new(machine, spec, groups, *cfg)?.measure_config(&ExecutorKind::Serial, config)
 }
 
 /// Run the full exhaustive campaign over all `2^groups` configurations
@@ -328,13 +316,12 @@ pub fn run_campaign(
     groups: &[AllocationGroup],
     cfg: &CampaignConfig,
 ) -> Result<CampaignResult, TunerError> {
-    run_campaign_with(&SerialExecutor, machine, spec, groups, cfg)
+    run_campaign_with(&ExecutorKind::Serial, machine, spec, groups, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ParallelExecutor;
     use hmpt_sim::machine::xeon_max_9468;
 
     fn mg_groups() -> (WorkloadSpec, Vec<AllocationGroup>) {
@@ -419,14 +406,9 @@ mod tests {
         let cfg = CampaignConfig::default();
         let serial = run_campaign(&m, &spec, &groups, &cfg).unwrap();
         for workers in [2, 3, 7] {
-            let par = run_campaign_with(
-                &ParallelExecutor::with_workers(workers),
-                &m,
-                &spec,
-                &groups,
-                &cfg,
-            )
-            .unwrap();
+            let par =
+                run_campaign_with(&ExecutorKind::Parallel { workers }, &m, &spec, &groups, &cfg)
+                    .unwrap();
             assert_eq!(par.measurements.len(), serial.measurements.len());
             for (a, b) in serial.measurements.iter().zip(&par.measurements) {
                 assert_eq!(a.config, b.config);

@@ -13,17 +13,14 @@
 //! The ablation bench compares measurement counts and achieved speedup
 //! against the exhaustive campaign.
 
-use std::sync::Arc;
-
 use hmpt_sim::machine::Machine;
 use hmpt_workloads::model::WorkloadSpec;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::MeasurementCache;
 use crate::campaign::CampaignPlan;
 use crate::configspace::Config;
 use crate::error::TunerError;
-use crate::exec::{CachingExecutor, CellExecutor, ExecutorKind};
+use crate::exec::{CellExecutor, ExecutorKind};
 use crate::grouping::AllocationGroup;
 use crate::measure::CampaignConfig;
 
@@ -74,20 +71,6 @@ pub fn tune(
     tune_plan(&plan, cfg, &cfg.executor)
 }
 
-/// [`tune`] with every probe answered through a shared measurement
-/// cache: probes of configurations an exhaustive campaign already
-/// measured (same machine, spec, seeds) cost no simulated runs.
-pub fn tune_cached(
-    machine: &Machine,
-    spec: &WorkloadSpec,
-    groups: &[AllocationGroup],
-    cfg: &OnlineConfig,
-    cache: Arc<MeasurementCache>,
-) -> Result<OnlineResult, TunerError> {
-    let plan = CampaignPlan::new(machine, spec, groups, cfg.campaign)?;
-    tune_plan(&plan, cfg, &CachingExecutor::new(cfg.executor, cache))
-}
-
 /// Hill-climb over an existing campaign plan through an arbitrary cell
 /// executor. The plan's memoized fingerprints make each probe's cache
 /// keys cheap, and probe cells are the campaign's own cells (identical
@@ -103,8 +86,8 @@ pub fn tune_plan<E: CellExecutor + ?Sized>(
 }
 
 /// Hill-climb with a caller-supplied measurement function (custom
-/// probe transports; the standard paths are [`tune`], [`tune_cached`],
-/// and [`tune_plan`]).
+/// probe transports; the standard paths are [`tune`] and
+/// [`tune_plan`]).
 pub fn tune_with_measure(
     groups: &[AllocationGroup],
     cfg: &OnlineConfig,
@@ -301,19 +284,24 @@ mod noisy_tests {
     }
 
     /// Online probes through a cache warmed by the exhaustive campaign
-    /// (same machine, spec, campaign settings → same cell seeds and
-    /// keys) cost zero additional simulated runs.
+    /// (one plan → the same cell seeds and keys) cost zero additional
+    /// simulated runs — the fleet's own probe path.
     #[test]
     fn cached_online_probes_reuse_campaign_cells() {
+        use crate::cache::MeasurementCache;
+        use crate::exec::CachingExecutor;
         let m = xeon_max_9468();
         let spec = hmpt_workloads::npb::mg::workload();
-        let cache = Arc::new(MeasurementCache::new());
-        let a = Driver::new(m.clone()).with_cache(Arc::clone(&cache)).analyze(&spec).unwrap();
-        let warmed_misses = cache.stats().misses;
-        let r = tune_cached(&m, &spec, &a.groups, &OnlineConfig::default(), Arc::clone(&cache))
-            .unwrap();
-        assert_eq!(cache.stats().misses, warmed_misses, "probes answered from warmed cache");
-        assert!(cache.stats().hits > 0);
+        let a = Driver::new(m.clone()).analyze(&spec).unwrap();
+        let cfg = OnlineConfig::default();
+        let plan = CampaignPlan::new(&m, &spec, &a.groups, cfg.campaign).unwrap();
+        let exec = CachingExecutor::new(cfg.executor, std::sync::Arc::new(MeasurementCache::new()));
+        let campaign = plan.execute(&exec).unwrap();
+        let warmed_misses = exec.cache().stats().misses;
+        assert_eq!(warmed_misses as usize, campaign.total_runs());
+        let r = tune_plan(&plan, &cfg, &exec).unwrap();
+        assert_eq!(exec.cache().stats().misses, warmed_misses, "probes answered from warmed cache");
+        assert!(exec.cache().stats().hits > 0);
         assert!(r.speedup > 0.97 * a.table2.max_speedup);
     }
 

@@ -7,16 +7,12 @@
 //! parameter at a time, quantifying how robust the "60–75 % in HBM"
 //! envelope is.
 
-use std::sync::Arc;
-
 use hmpt_sim::machine::{Machine, MachineBuilder};
 use hmpt_workloads::model::WorkloadSpec;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::MeasurementCache;
 use crate::driver::Driver;
 use crate::error::TunerError;
-use crate::exec::ExecutorKind;
 use crate::measure::CampaignConfig;
 
 /// One sweep point of the sensitivity study.
@@ -29,32 +25,14 @@ pub struct SensitivityRow {
     pub usage_90_pct: f64,
 }
 
-fn fast_driver(
-    machine: Machine,
-    executor: ExecutorKind,
-    cache: Option<&Arc<MeasurementCache>>,
-) -> Driver {
-    let driver = Driver::new(machine)
+fn row(machine: Machine, spec: &WorkloadSpec, value: f64) -> Result<SensitivityRow, TunerError> {
+    let a = Driver::new(machine)
         .with_campaign(CampaignConfig {
             runs_per_config: 1,
             noise: hmpt_sim::noise::NoiseModel::none(),
             base_seed: 0,
         })
-        .with_executor(executor);
-    match cache {
-        Some(c) => driver.with_cache(Arc::clone(c)),
-        None => driver,
-    }
-}
-
-fn row(
-    machine: Machine,
-    spec: &WorkloadSpec,
-    value: f64,
-    executor: ExecutorKind,
-    cache: Option<&Arc<MeasurementCache>>,
-) -> Result<SensitivityRow, TunerError> {
-    let a = fast_driver(machine, executor, cache).analyze(spec)?;
+        .analyze(spec)?;
     Ok(SensitivityRow {
         value,
         max_speedup: a.table2.max_speedup,
@@ -63,55 +41,16 @@ fn row(
     })
 }
 
-/// One swept parameter → machine variant mapping.
-fn sweep(
-    spec: &WorkloadSpec,
-    values: &[f64],
-    executor: ExecutorKind,
-    cache: Option<&Arc<MeasurementCache>>,
-    build: impl Fn(f64) -> Machine,
-) -> Result<Vec<SensitivityRow>, TunerError> {
-    values.iter().map(|&v| row(build(v), spec, v, executor, cache)).collect()
-}
-
-fn bw_machine(factor: f64) -> Machine {
-    MachineBuilder::xeon_max().with_hbm_bw_factor(factor).build()
-}
-
-fn latency_machine(penalty: f64) -> Machine {
-    MachineBuilder::xeon_max().with_hbm_latency_penalty(penalty).build()
-}
-
 /// Sweep the HBM sustained-bandwidth factor (1.0 = the Xeon Max's 700
 /// GB/s per socket).
 pub fn sweep_hbm_bandwidth(
     spec: &WorkloadSpec,
     factors: &[f64],
 ) -> Result<Vec<SensitivityRow>, TunerError> {
-    sweep_hbm_bandwidth_with(spec, factors, ExecutorKind::Serial)
-}
-
-/// [`sweep_hbm_bandwidth`] with each sweep point's campaign cells run
-/// through the given executor.
-pub fn sweep_hbm_bandwidth_with(
-    spec: &WorkloadSpec,
-    factors: &[f64],
-    executor: ExecutorKind,
-) -> Result<Vec<SensitivityRow>, TunerError> {
-    sweep(spec, factors, executor, None, bw_machine)
-}
-
-/// [`sweep_hbm_bandwidth_with`] through a shared measurement cache:
-/// sweep points revisiting an already-measured machine (the stock
-/// factor appearing in several studies, re-runs with extra points)
-/// cost no simulated runs.
-pub fn sweep_hbm_bandwidth_cached(
-    spec: &WorkloadSpec,
-    factors: &[f64],
-    executor: ExecutorKind,
-    cache: &Arc<MeasurementCache>,
-) -> Result<Vec<SensitivityRow>, TunerError> {
-    sweep(spec, factors, executor, Some(cache), bw_machine)
+    factors
+        .iter()
+        .map(|&f| row(MachineBuilder::xeon_max().with_hbm_bw_factor(f).build(), spec, f))
+        .collect()
 }
 
 /// Sweep the HBM idle-latency penalty (1.2 = the Xeon Max).
@@ -119,28 +58,10 @@ pub fn sweep_hbm_latency(
     spec: &WorkloadSpec,
     penalties: &[f64],
 ) -> Result<Vec<SensitivityRow>, TunerError> {
-    sweep_hbm_latency_with(spec, penalties, ExecutorKind::Serial)
-}
-
-/// [`sweep_hbm_latency`] with each sweep point's campaign cells run
-/// through the given executor.
-pub fn sweep_hbm_latency_with(
-    spec: &WorkloadSpec,
-    penalties: &[f64],
-    executor: ExecutorKind,
-) -> Result<Vec<SensitivityRow>, TunerError> {
-    sweep(spec, penalties, executor, None, latency_machine)
-}
-
-/// [`sweep_hbm_latency_with`] through a shared measurement cache (see
-/// [`sweep_hbm_bandwidth_cached`]).
-pub fn sweep_hbm_latency_cached(
-    spec: &WorkloadSpec,
-    penalties: &[f64],
-    executor: ExecutorKind,
-    cache: &Arc<MeasurementCache>,
-) -> Result<Vec<SensitivityRow>, TunerError> {
-    sweep(spec, penalties, executor, Some(cache), latency_machine)
+    penalties
+        .iter()
+        .map(|&p| row(MachineBuilder::xeon_max().with_hbm_latency_penalty(p).build(), spec, p))
+        .collect()
 }
 
 /// Text table for one sweep.
@@ -193,31 +114,6 @@ mod tests {
         let spec = hmpt_workloads::npb::bt::workload();
         let rows = sweep_hbm_bandwidth(&spec, &[0.75, 1.5]).unwrap();
         assert!((rows[0].max_speedup - rows[1].max_speedup).abs() < 0.08);
-    }
-
-    #[test]
-    fn cached_sweep_dedupes_repeated_points_bit_identically() {
-        let spec = hmpt_workloads::npb::mg::workload();
-        let cache = Arc::new(MeasurementCache::new());
-        let factors = [0.5, 1.0];
-        let first =
-            sweep_hbm_bandwidth_cached(&spec, &factors, ExecutorKind::Serial, &cache).unwrap();
-        let misses_after_first = cache.stats().misses;
-        assert!(misses_after_first > 0);
-        // Re-sweeping (plus the stock point showing up again) is fully
-        // answered from the cache, with bit-identical rows.
-        let second =
-            sweep_hbm_bandwidth_cached(&spec, &factors, ExecutorKind::Serial, &cache).unwrap();
-        assert_eq!(cache.stats().misses, misses_after_first);
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.max_speedup.to_bits(), b.max_speedup.to_bits());
-            assert_eq!(a.usage_90_pct.to_bits(), b.usage_90_pct.to_bits());
-        }
-        // And matches the cache-less sweep bit-for-bit.
-        let plain = sweep_hbm_bandwidth(&spec, &factors).unwrap();
-        for (a, b) in first.iter().zip(&plain) {
-            assert_eq!(a.max_speedup.to_bits(), b.max_speedup.to_bits());
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use hmpt_core::cache::MeasurementCache;
 use hmpt_core::campaign::{CampaignPlan, RepPolicy};
 use hmpt_core::configspace;
 use hmpt_core::error::TunerError;
-use hmpt_core::exec::{CachingExecutor, ExecutorKind, ParallelExecutor, SerialExecutor};
+use hmpt_core::exec::{CachingExecutor, ExecutorKind};
 use hmpt_core::grouping::AllocationGroup;
 use hmpt_core::measure::{CampaignConfig, CampaignResult};
 use hmpt_core::planner;
@@ -199,10 +199,10 @@ proptest! {
         let plan = |fast: bool| {
             CampaignPlan::new(&machine, &spec, &groups, cfg).unwrap().with_fast_path(fast)
         };
-        let naive = plan(false).execute(&SerialExecutor).unwrap();
-        let fast = plan(true).execute(&SerialExecutor).unwrap();
+        let naive = plan(false).execute(&ExecutorKind::Serial).unwrap();
+        let fast = plan(true).execute(&ExecutorKind::Serial).unwrap();
         assert_results_bitwise(&naive, &fast);
-        let parallel = plan(true).execute(&ParallelExecutor::with_workers(3)).unwrap();
+        let parallel = plan(true).execute(&ExecutorKind::Parallel { workers: 3 }).unwrap();
         assert_results_bitwise(&naive, &parallel);
 
         let snapshot = |fast: bool| {
@@ -234,8 +234,8 @@ proptest! {
                 .with_policy(policy)
                 .with_fast_path(fast)
         };
-        let naive = plan(false).execute(&SerialExecutor).unwrap();
-        let fast = plan(true).execute(&SerialExecutor).unwrap();
+        let naive = plan(false).execute(&ExecutorKind::Serial).unwrap();
+        let fast = plan(true).execute(&ExecutorKind::Serial).unwrap();
         assert_results_bitwise(&naive, &fast);
         let cache = Arc::new(MeasurementCache::new());
         let cached = plan(true)
@@ -289,12 +289,12 @@ proptest! {
         let naive = CampaignPlan::new(&machine, &spec, &groups, cfg)
             .unwrap()
             .with_fast_path(false)
-            .execute(&SerialExecutor)
+            .execute(&ExecutorKind::Serial)
             .unwrap();
         let fast = CampaignPlan::new(&machine, &spec, &groups, cfg)
             .unwrap()
             .with_fast_path(true)
-            .execute(&SerialExecutor)
+            .execute(&ExecutorKind::Serial)
             .unwrap();
         assert_results_bitwise(&naive, &fast);
 

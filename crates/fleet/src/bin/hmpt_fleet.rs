@@ -50,7 +50,7 @@
 //! hmpt-fleet cache compact cells.bin --max-records 50000
 //! ```
 
-use hmpt_core::exec::{available_workers, ExecutorKind, RunExecutor};
+use hmpt_core::exec::available_workers;
 use hmpt_fleet::api::{self, BatchOutcome, Comparison, MergeRequest, Request, Response};
 use hmpt_fleet::cli::{self, Action, ClientCmd, ReportCmd};
 use hmpt_fleet::spec::{CampaignSpec, Resolved, TelemetrySection};
@@ -153,7 +153,8 @@ fn usage() -> ! {
          \x20 --allow-flip KEY          allowlist a placement flip (repeatable)\n\
          \x20 --json                    machine-readable output (diff/gate/trend)\n\
          serve options (the campaign-service daemon):\n\
-         \x20 --workers N     shard workers per job (default: one per CPU)\n\
+         \x20 --workers N     campaign groups a served job runs at once\n\
+         \x20                 (default: one per CPU)\n\
          \x20 --quota N       max live jobs per tenant (default 4)\n\
          \x20 --cache-max N   LRU bound on the shared cross-job cache\n\
          \x20 --trace-out P   write the daemon's span/counter trace (JSONL) to P\n\
@@ -900,14 +901,9 @@ fn render_batch(
         ),
     );
 
-    let pool = match resolved.fleet.executor {
-        ExecutorKind::Serial => 1,
-        ExecutorKind::Parallel { workers: 0 } => available_workers(),
-        ExecutorKind::Parallel { workers } => workers,
-    };
     let report = Report {
         machine: spec.machine.clone().unwrap_or_else(|| "xeon_max_9468".to_string()),
-        workers: pool,
+        workers: resolved.fleet.executor.workers(),
         executor: resolved.fleet.executor.label(),
         runs_per_config: resolved.campaign.runs_per_config,
         rep_policy: resolved.fleet.rep_policy.label(resolved.campaign.runs_per_config),

@@ -5,12 +5,13 @@
 //! executes strictly serially. This crate turns the tuner into a small
 //! *service* that answers batches of tuning jobs fast:
 //!
-//! * **Executors** ([`RunExecutor`], [`SerialExecutor`],
-//!   [`ParallelExecutor`], re-exported from `hmpt_core::exec`): every
-//!   (configuration, repetition) cell of a campaign is an independent
-//!   simulated run with a derived seed, so a work-stealing pool of std
-//!   threads evaluates them concurrently and reassembles results in
-//!   canonical order — **bit-identical** to serial execution.
+//! * **Executors** ([`ExecutorKind`], re-exported from
+//!   `hmpt_core::exec`): every (configuration, repetition) cell of a
+//!   campaign is an independent simulated run with a derived seed, so a
+//!   work-stealing pool of std threads evaluates them concurrently and
+//!   reassembles results in canonical order — **bit-identical** to
+//!   serial execution. The same pool runs a batch's concurrent jobs,
+//!   whose cells then run serially: one level of fan-out per run.
 //! * **[`MeasurementCache`]** (re-exported from `hmpt_core::cache`): a
 //!   content-addressed cell cache keyed by fingerprints of (machine,
 //!   workload spec, placement plan, noise ⊕ seed). Identical cells
@@ -18,7 +19,7 @@
 //!   re-visiting the stock machine, online-search probes of
 //!   configurations the exhaustive campaign already measured — are
 //!   simulated once. Caching composes at the executor layer
-//!   ([`CachingExecutor`]), so plain drivers benefit from it too.
+//!   ([`CachingExecutor`]), so the campaign and its online probes share it.
 //! * **Campaign-plan IR** ([`hmpt_core::campaign::CampaignPlan`]):
 //!   campaigns are planned (cells enumerated lazily, fingerprints
 //!   memoized) and streamed in bounded chunks; an adaptive
@@ -26,9 +27,10 @@
 //!   runtime is known tightly enough — bit-identically across serial,
 //!   parallel, and cached execution.
 //! * **[`Fleet`]**: the batch front end. It accepts tuning jobs
-//!   (workload × machine × campaign settings), schedules their cells
-//!   across the pool through the cache — concurrently across jobs when
-//!   [`FleetConfig::job_workers`] allows — streams per-job
+//!   (workload × machine × campaign settings), runs them through the
+//!   cache — concurrently across jobs when [`FleetConfig::job_workers`]
+//!   allows, each job's cells serially; otherwise one job at a time on
+//!   the configured executor — streams per-job
 //!   [`hmpt_core::driver::Analysis`] results in deterministic order,
 //!   and reports cache-hit, early-stop, and throughput statistics.
 //! * **Scenario matrices** ([`matrix`], over
@@ -80,10 +82,7 @@ pub mod toml;
 pub use api::{execute, ApiError, MergeRequest, Request, Response};
 pub use cache::{CacheStats, CellKey, MeasurementCache};
 pub use hmpt_core::campaign::{CampaignPlan, CellSink, CellSpec, RepPolicy};
-pub use hmpt_core::exec::{
-    available_workers, CachingExecutor, CellExecutor, ExecutorKind, ParallelExecutor, RunExecutor,
-    SerialExecutor,
-};
+pub use hmpt_core::exec::{available_workers, CachingExecutor, CellExecutor, ExecutorKind};
 pub use hmpt_core::scenario::{
     MatrixReport, MergeError, Scenario, ScenarioMatrix, ScenarioRow, ShardReport, ShardSpec,
 };

@@ -45,7 +45,8 @@ use crate::service::{Fleet, FleetConfig, TuningJob};
 /// How a scenario matrix is executed.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixConfig {
-    /// Cell-level executor of each campaign.
+    /// Cell-level executor of each campaign while one campaign group
+    /// runs at a time; concurrent groups run their cells serially.
     pub executor: ExecutorKind,
     /// Concurrent campaign groups (`1` = sequential, `0` = auto-size).
     pub job_workers: usize,
@@ -79,14 +80,19 @@ impl MatrixConfig {
     /// choice, job workers and caching are deliberately
     /// excluded — bit-identity across those is the subsystem's core
     /// invariant, so they may legitimately differ between shards.
-    ///
-    /// [`ShardReport::matrix_fingerprint`] is
-    /// `matrix.fingerprint().combine(cfg.bits_fingerprint().raw())`,
-    /// and `CampaignSpec::fingerprint` reproduces the same value for a
-    /// matrix-mode spec — which is what lets a spec file act as the
-    /// merge-validation artifact CI passes between shard jobs.
     pub fn bits_fingerprint(&self) -> Fingerprint {
         Fingerprint::of(&self.grouping).combine(self.profile_seed)
+    }
+
+    /// The fingerprint of running `matrix` under these settings: the
+    /// matrix axes combined with [`Self::bits_fingerprint`]. Every
+    /// [`ShardReport::matrix_fingerprint`] stamps it, and
+    /// `CampaignSpec::fingerprint` of a matrix-mode spec is it — which
+    /// is what lets a spec file act as the merge-validation artifact CI
+    /// passes between shard jobs, and the daemon check a job against
+    /// its admission.
+    pub fn matrix_fingerprint(&self, matrix: &ScenarioMatrix) -> Fingerprint {
+        matrix.fingerprint().combine(self.bits_fingerprint().raw())
     }
 
     fn fleet_config(&self) -> FleetConfig {
@@ -142,7 +148,7 @@ pub fn run_matrix_sharded(
     Ok(ShardReport {
         shard: shard.shard,
         total_shards: shard.total,
-        matrix_fingerprint: matrix.fingerprint().combine(cfg.bits_fingerprint().raw()).to_string(),
+        matrix_fingerprint: cfg.matrix_fingerprint(matrix).to_string(),
         rows,
         stats,
     })

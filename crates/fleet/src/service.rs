@@ -21,9 +21,7 @@ use hmpt_core::cache::Mark;
 use hmpt_core::campaign::{CampaignPlan, RepPolicy};
 use hmpt_core::driver::{Analysis, Driver};
 use hmpt_core::error::TunerError;
-use hmpt_core::exec::{
-    available_workers, cell_executor, CellExecutor, ExecutorKind, ParallelExecutor, RunExecutor,
-};
+use hmpt_core::exec::{available_workers, cell_executor, CellExecutor, ExecutorKind};
 use hmpt_core::grouping::{group, GroupingConfig};
 use hmpt_core::measure::CampaignConfig;
 use hmpt_core::online::{self, OnlineConfig, OnlineResult};
@@ -36,7 +34,9 @@ use crate::cache::{CacheStats, MeasurementCache};
 /// Fleet-wide settings.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// How campaign cells are executed (default: auto-sized parallel).
+    /// How campaign cells are executed while one job runs at a time
+    /// (default: auto-sized parallel). Concurrent jobs run their cells
+    /// serially.
     pub executor: ExecutorKind,
     /// How many repetitions each configuration gets (default: the
     /// campaign's fixed `n`; [`RepPolicy::ConfidenceTarget`] stops
@@ -56,12 +56,14 @@ pub struct FleetConfig {
     /// Consult the shared content-addressed cache per cell (`false`
     /// re-simulates everything — useful for timing baselines).
     pub cache_enabled: bool,
-    /// How many *jobs* run concurrently (on top of per-campaign cell
-    /// parallelism). `1` (the default) preserves strictly sequential
-    /// job execution; `0` auto-sizes to the host. Reports are always
-    /// delivered in job-index order, and results are bit-identical to
-    /// sequential execution; only per-job cache *attribution* becomes
-    /// approximate when concurrent jobs race on shared cells.
+    /// How many *jobs* run concurrently. `1` (the default) runs jobs
+    /// one at a time, each on [`Self::executor`]; `0` auto-sizes to the
+    /// host. Above one, the jobs share one pool and run their cells
+    /// serially, so the batch never nests a cell pool under the job
+    /// pool. Reports are always delivered in job-index order, and
+    /// results are bit-identical to sequential execution; only per-job
+    /// cache *attribution* becomes approximate when concurrent jobs race
+    /// on shared cells.
     pub job_workers: usize,
     /// On-disk cache snapshot ([`hmpt_core::store`]): loaded into the
     /// shared cache when the fleet is built (a missing or unusable
@@ -296,8 +298,7 @@ impl Fleet {
     }
 
     /// [`Self::run_job`] with an explicit cell-level executor — the
-    /// concurrent-jobs path divides the host's cores between job
-    /// workers instead of multiplying the two pool sizes.
+    /// concurrent-jobs path runs each job's cells serially.
     fn run_job_with(
         &self,
         job: &TuningJob,
@@ -366,23 +367,11 @@ impl Fleet {
         }
     }
 
-    /// The cell-level executor each of `job_workers` concurrent jobs
-    /// gets: an auto-sized parallel pool is divided by the job workers
-    /// (so nesting never oversubscribes to cores²); an explicit size is
-    /// respected as given. Executor choice never changes result bits.
-    fn divided_executor(&self, job_workers: usize) -> ExecutorKind {
-        match self.cfg.executor {
-            ExecutorKind::Parallel { workers: 0 } => ExecutorKind::Parallel {
-                workers: (available_workers() / job_workers.max(1)).max(1),
-            },
-            other => other,
-        }
-    }
-
     /// Run a batch, streaming each finished job to `on_report`.
     ///
     /// With `job_workers > 1`, independent jobs are evaluated
-    /// concurrently on a work-stealing pool; reports are still
+    /// concurrently on a work-stealing pool, each job's cells serially
+    /// on its pool thread; reports are still
     /// delivered to `on_report` in job-index order (after the batch
     /// completes), and every result is bit-identical to sequential
     /// execution — cells are seed-deterministic and a racing cache
@@ -408,9 +397,8 @@ impl Fleet {
                 reports.push(report);
             }
         } else {
-            let cell_exec = self.divided_executor(workers);
-            let results = ParallelExecutor::with_workers(workers)
-                .run(jobs.len(), |i| self.run_job_with(&jobs[i], cell_exec));
+            let results = ExecutorKind::Parallel { workers }
+                .run(jobs.len(), |i| self.run_job_with(&jobs[i], ExecutorKind::Serial));
             for (i, result) in results.into_iter().enumerate() {
                 let report = result?;
                 planned += report.analysis.campaign.planned_runs as u64;

@@ -133,9 +133,11 @@ pub struct CampaignSection {
 pub struct ExecutionSection {
     /// Force the serial cell executor (default false).
     pub serial: Option<bool>,
-    /// Parallel cell workers (0 = auto; default 0).
+    /// Parallel cell workers (0 = auto; default 0). Used only while one
+    /// job runs at a time: concurrent jobs run their cells serially.
     pub workers: Option<usize>,
-    /// Concurrent jobs/scenarios (0 = auto; default 1).
+    /// Concurrent jobs/campaigns (0 = auto; default 1). A served job
+    /// takes the daemon's `--workers` instead.
     pub job_workers: Option<usize>,
     /// Batch: run the serial-vs-parallel comparison pass (default true).
     pub compare: Option<bool>,
@@ -485,9 +487,7 @@ impl CampaignSpec {
     /// a merge can validate shard reports against the spec file.
     pub fn fingerprint(&self) -> Result<Fingerprint, SpecError> {
         match self.resolve()? {
-            Resolved::Matrix(m) => {
-                Ok(m.matrix.fingerprint().combine(m.config.bits_fingerprint().raw()))
-            }
+            Resolved::Matrix(m) => Ok(m.config.matrix_fingerprint(&m.matrix)),
             Resolved::Batch(b) => {
                 let mut h = StableHasher::new();
                 h.write_str("hmpt-campaign-spec-batch-v1");

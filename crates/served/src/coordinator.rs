@@ -8,7 +8,7 @@
 //!   queue.json          # QueueSnapshot — every job ever admitted
 //!   cache.bin           # the shared MeasurementCache snapshot
 //!   cache.log           # journal: cells added since cache.bin was written
-//!   reports/job-<id>.json   # merged MatrixReport per completed job
+//!   reports/job-<id>.json   # the MatrixReport of each completed job
 //! ```
 //!
 //! Every mutation persists before the verb answers, so a crash at any
@@ -27,13 +27,15 @@
 //! never overwritten.
 //!
 //! The shared cache is the service's reason to exist as a *daemon*
-//! rather than a loop around `hmpt-fleet run`: every job's shard
-//! workers read and write it directly, so two jobs whose scenario
-//! matrices overlap simulate their shared cells exactly once,
-//! service-lifetime-wide. Keys are content addresses, so a cell a job
-//! measured stays valid even if that job later fails, and the runner
-//! executes one job at a time. The effect is visible in [`JobStats`]: a
-//! re-submission of a measured spec reports `simulated_cells == 0`.
+//! rather than a loop around `hmpt-fleet run`: each job is one
+//! `run_matrix_with_cache` call over it, its campaign groups spread over
+//! the fleet's job pool ([`CoordinatorConfig::workers`] at a time), so
+//! two jobs whose scenario matrices overlap simulate their shared cells
+//! exactly once, service-lifetime-wide. Keys are content addresses, so
+//! a cell a job measured stays valid even if that job later fails, and
+//! the runner executes one job at a time. The effect is visible in
+//! [`JobStats`]: a re-submission of a measured spec reports
+//! `simulated_cells == 0`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -42,27 +44,28 @@ use std::time::{Duration, Instant};
 
 use hmpt_core::cache::{Mark, MeasurementCache};
 use hmpt_core::exec::ExecutorKind;
-use hmpt_core::scenario::{MatrixReport, ShardReport};
+use hmpt_core::scenario::MatrixReport;
 use hmpt_core::store;
-use hmpt_fleet::matrix::MatrixConfig;
+use hmpt_fleet::matrix::{run_matrix, run_matrix_with_cache, MatrixConfig};
 use hmpt_fleet::spec::{CampaignSpec, Resolved, ResolvedMatrix};
 use serde::Value;
 
 use crate::queue::{JobQueue, QueueConfig, QueueError, QueueSnapshot};
 use crate::state::{JobRecord, JobState, JobStats};
 use crate::wire::{ErrorKind, StatusView};
-use crate::worker::run_shards;
 
 /// The shared cache's snapshot and journal, in the state dir.
 const CACHE_BIN: &str = "cache.bin";
 const CACHE_LOG: &str = "cache.log";
 
-/// How the daemon is shaped. `workers` is the shard fan-out per job —
-/// a throughput knob only, results are bit-identical at any value.
+/// How the daemon is shaped. `workers` is how many campaign groups a
+/// served job runs at once — a throughput knob only, results are
+/// bit-identical at any value.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
     pub state_dir: PathBuf,
-    /// Shard workers per job; 0 means one per available CPU.
+    /// Campaign groups a job runs at once on the fleet's job pool, each
+    /// group's cells serially; 0 means one per available CPU.
     pub workers: usize,
     /// Max live (queued + mid-flight) jobs per tenant.
     pub tenant_quota: usize,
@@ -417,28 +420,22 @@ impl Coordinator {
         self.inner.lock().unwrap().draining
     }
 
-    /// The runner loop: claim → execute → merge → persist, one
-    /// job at a time, until drained. Blocks; the daemon calls this on
-    /// its main thread while the TCP server answers on its own.
+    /// The runner loop: claim → execute → persist, one job at a time,
+    /// until drained. Blocks; the daemon calls this on its main thread
+    /// while the TCP server answers on its own.
     pub fn run(&self) {
         loop {
-            let claim = {
-                let mut inner = self.inner.lock().unwrap();
-                loop {
-                    if inner.draining {
-                        break None;
-                    }
-                    if let Some(id) = inner.queue.next_runnable() {
-                        break Some(id);
-                    }
-                    let (guard, _) =
-                        self.work.wait_timeout(inner, Duration::from_millis(200)).unwrap();
-                    inner = guard;
-                }
-            };
-            match claim {
-                Some(id) => self.execute(id),
-                None => break,
+            if self.run_one() {
+                continue;
+            }
+            let inner = self.inner.lock().unwrap();
+            if inner.draining {
+                break;
+            }
+            if inner.queue.next_runnable().is_none() {
+                // Idle: a submit or a drain wakes the runner.
+                let (_inner, _) =
+                    self.work.wait_timeout(inner, Duration::from_millis(200)).unwrap();
             }
         }
         // Drained: one final persist of the queue, and a fold of the
@@ -458,7 +455,7 @@ impl Coordinator {
         }
     }
 
-    /// Execute at most one queued job (the test/tool-facing step of
+    /// Claim and execute at most one queued job (one step of
     /// [`Coordinator::run`]). Returns whether a job ran.
     pub fn run_one(&self) -> bool {
         let claim = {
@@ -581,17 +578,10 @@ impl Coordinator {
 
         let started = Instant::now();
         let _job = hmpt_obs::span_with("serve.job", || format!("job {id} {}", record.tenant));
-        let before = self.cache.stats();
-        let shards = match self.simulate(&record) {
-            Ok(shards) => shards,
+        let report = match self.simulate(&record) {
+            Ok(report) => report,
             Err(message) => return self.finish_failed(id, message),
         };
-        // One job runs at a time, so the cache's traffic since `before`
-        // is exactly this job's, and the entries it added are the cells
-        // it simulated however its shards raced. Both the report and
-        // `JobStats` carry it: the shard reports' per-shard deltas of
-        // the same counters over-count concurrent shards.
-        let traffic = self.cache.stats().since(&before);
 
         {
             let mut inner = self.inner.lock().unwrap();
@@ -604,15 +594,10 @@ impl Coordinator {
         }
 
         let merge_started = Instant::now();
-        let merged = {
+        {
             let _m = hmpt_obs::span_with("serve.merge", || format!("job {id}"));
-            self.merge_and_persist(&record, &shards)
-        };
-        let mut report = match merged {
-            Ok(report) => report,
-            Err(message) => return self.finish_failed(id, message),
-        };
-        report.stats.cache = traffic;
+            self.persist_cache(false);
+        }
         let merge_s = merge_started.elapsed().as_secs_f64();
 
         let json = serde_json::to_string_pretty(&report).expect("matrix reports always serialize");
@@ -620,6 +605,10 @@ impl Coordinator {
             return self.finish_failed(id, format!("write report: {e}"));
         }
 
+        // One job runs at a time, so the report's cache traffic is
+        // exactly this job's, and the entries it added are the cells it
+        // simulated.
+        let traffic = report.stats.cache;
         let stats = JobStats {
             scenarios: report.stats.scenarios as u64,
             planned_cells: report.stats.planned_cells,
@@ -640,9 +629,11 @@ impl Coordinator {
         }
     }
 
-    /// Resolve the job's spec and fan it out to the shard workers over
-    /// the shared cache.
-    fn simulate(&self, record: &JobRecord) -> Result<Vec<ShardReport>, String> {
+    /// Resolve the job's spec, check it against the admission
+    /// fingerprint, and run it as one matrix over the shared cache,
+    /// [`CoordinatorConfig::workers`] campaign groups at a time. Returns
+    /// the stamped report.
+    fn simulate(&self, record: &JobRecord) -> Result<MatrixReport, String> {
         let resolved = CampaignSpec::parse(&record.spec)
             .and_then(|spec| spec.resolve())
             .map_err(|e| e.to_string())?;
@@ -650,56 +641,32 @@ impl Coordinator {
             Resolved::Matrix(m) => m,
             Resolved::Batch(_) => return Err("batch spec reached the runner".into()),
         };
+        let fingerprint = config.matrix_fingerprint(&matrix).to_string();
+        if fingerprint != record.fingerprint {
+            return Err(format!(
+                "matrix fingerprint {fingerprint} does not match the spec fingerprint {}",
+                record.fingerprint
+            ));
+        }
 
-        let workers = if self.cfg.workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.cfg.workers
-        };
-        let shards =
-            run_shards(&matrix, &config, workers, &self.cache).map_err(|e| e.to_string())?;
+        let config = MatrixConfig { job_workers: self.cfg.workers, ..config };
+        let mut report = run_matrix_with_cache(&matrix, &config, Arc::clone(&self.cache))
+            .map_err(|e| e.to_string())?;
         if verify {
-            // The spec asked for the bit-identity audit: re-run serial
-            // and uncached, exactly like the offline shard path (with
-            // caching off, the shared cache is never consulted).
-            let vcfg = MatrixConfig {
-                executor: ExecutorKind::Serial,
-                job_workers: 1,
-                cache_enabled: false,
-                ..config
-            };
-            let others = run_shards(&matrix, &vcfg, shards.len(), &self.cache)
-                .map_err(|e| format!("verify re-run: {e}"))?;
-            for (a, b) in shards.iter().zip(&others) {
-                if !a.bit_identical(b) {
-                    return Err("diverged from the serial-uncached re-run".into());
-                }
+            // The spec asked for the bit-identity audit: re-run at the
+            // same width, serial and uncached (with caching off, no
+            // cache is consulted).
+            let vcfg =
+                MatrixConfig { executor: ExecutorKind::Serial, cache_enabled: false, ..config };
+            let other = run_matrix(&matrix, &vcfg).map_err(|e| format!("verify re-run: {e}"))?;
+            if !report.bit_identical(&other) {
+                return Err("diverged from the serial-uncached re-run".into());
             }
         }
-        Ok(shards)
-    }
-
-    /// Fingerprint-validate and merge the shard reports, then persist
-    /// the shared cache.
-    fn merge_and_persist(
-        &self,
-        record: &JobRecord,
-        shards: &[ShardReport],
-    ) -> Result<MatrixReport, String> {
-        for shard in shards {
-            if shard.matrix_fingerprint != record.fingerprint {
-                return Err(format!(
-                    "shard {} fingerprint {} does not match the spec fingerprint {}",
-                    shard.shard, shard.matrix_fingerprint, record.fingerprint
-                ));
-            }
-        }
-        let mut report = MatrixReport::merge(shards).map_err(|e| e.to_string())?;
-        report.spec_fingerprint = Some(record.fingerprint.clone());
+        report.spec_fingerprint = Some(fingerprint);
         if !report.capacity_ok() {
             return Err("scenario exceeds machine capacity".into());
         }
-        self.persist_cache(false);
         Ok(report)
     }
 

@@ -13,12 +13,13 @@
 //!   (`Queued → Running → Merging → Completed | Failed`, `Cancelled`
 //!   from the queue) and a priority queue with per-tenant admission
 //!   quotas and cancellation.
-//! * [`coordinator`] + [`worker`] — execution: the coordinator owns a
-//!   shared persistent [`hmpt_core::cache::MeasurementCache`]; per job
-//!   it fans the scenario matrix out to shard [`worker`]s that read and
-//!   write that cache directly, and merges the streamed `ShardReport`s
-//!   with the existing fingerprint validation — so a second job never
-//!   re-simulates cells a previous job measured.
+//! * [`coordinator`] — execution: the coordinator owns a shared
+//!   persistent [`hmpt_core::cache::MeasurementCache`] and runs each
+//!   job's scenario matrix as one `run_matrix_with_cache` call over it,
+//!   `workers` campaign groups at a time on the fleet's job pool, after
+//!   checking the spec against its admission fingerprint — so a second
+//!   job never re-simulates cells a previous job measured. ([`worker`]'s
+//!   shard pool is off the service's path.)
 //!
 //! [`server`] is the accept loop binding [`wire`] to a
 //! [`coordinator::Coordinator`]; [`client`] is the blocking client the

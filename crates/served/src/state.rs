@@ -4,10 +4,10 @@
 //! state graph:
 //!
 //! ```text
-//!             submit            claim            shards done
+//!             submit            claim          campaigns done
 //!   (wire) ──────────▶ Queued ────────▶ Running ────────────▶ Merging
 //!                        │                 │                     │
-//!                 cancel │            fail │                fail │ merge ok
+//!                 cancel │            fail │                fail │ saved
 //!                        ▼                 ▼                     ▼
 //!                    Cancelled          Failed       Failed / Completed
 //! ```
@@ -28,13 +28,13 @@ use serde::{Deserialize, Serialize};
 pub enum JobState {
     /// Accepted and waiting for the runner.
     Queued,
-    /// Shard workers are simulating its scenario matrix.
+    /// Its scenario matrix is running on the fleet's job pool.
     Running,
-    /// Shards done; reports are being merged and the cache saved.
+    /// Campaigns done; the shared cache and the report are being saved.
     Merging,
-    /// Merged report on disk; `Report` will serve it.
+    /// Report on disk; `Report` will serve it.
     Completed,
-    /// Execution or merge failed; the error rides the status view.
+    /// Execution or saving failed; the error rides the status view.
     Failed,
     /// Cancelled while queued.
     Cancelled,
@@ -105,14 +105,14 @@ pub struct JobStats {
     pub planned_cells: u64,
     pub executed_cells: u64,
     /// Cells the job simulated: the entries it added to the shared
-    /// cache (a cell two shards raced on counts once).
+    /// cache (a cell two concurrent campaign groups raced on counts once).
     pub simulated_cells: u64,
     /// Cache lookups the job's cells made, less `simulated_cells`: the
     /// lookups the shared cache answered.
     pub cells_skipped: u64,
     /// End-to-end job wall time, seconds (claim → report on disk).
     pub wall_s: f64,
-    /// Of which: merging shard reports + saving the cache, seconds.
+    /// Of which: persisting the shared cache, seconds.
     pub merge_s: f64,
 }
 

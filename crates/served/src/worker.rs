@@ -1,19 +1,18 @@
-//! The in-process shard-worker pool.
+//! An in-process shard-worker pool, no longer on the service's path.
 //!
-//! A job's scenario matrix is split into balanced contiguous
-//! [`hmpt_core::scenario::ShardSpec`] ranges — exactly the split the
-//! CLI's `--shard K/N`
-//! pipeline uses — and each worker thread runs one range through
-//! `run_matrix_sharded` against the one cache it is handed. Finished
-//! [`ShardReport`]s stream back over a channel as workers complete (the
-//! coordinator's `serve.shards_done` counter ticks per shard), and the
-//! pool returns them shard-ordered for the merge.
+//! The coordinator runs each job as one matrix on the fleet's job pool
+//! (`hmpt_fleet::matrix::run_matrix_with_cache`), so a campaign group
+//! runs once however the workers are set. [`run_shards`] stays public
+//! only because the benchmark's served replica (`perfbench/src/replay.rs`)
+//! compiles against it; it goes when ROADMAP item 4 deletes the replica.
 //!
-//! Correctness rides on the same two invariants the offline pipeline
-//! proved: every shard stamps `matrix_fingerprint`, so a mismatched
-//! merge is impossible, and rows are bit-identical regardless of the
-//! worker count, so `--workers` is a throughput knob, not a result
-//! knob.
+//! It splits a matrix into balanced contiguous
+//! [`hmpt_core::scenario::ShardSpec`] ranges — the split the CLI's
+//! `--shard K/N` pipeline uses — and runs each range on its own thread
+//! through `run_matrix_sharded` against one cache. A campaign group the
+//! split cuts runs once in each shard. Every shard stamps
+//! `matrix_fingerprint`, and rows are bit-identical at any worker
+//! count, so the shard-ordered reports merge into the unsharded report.
 
 use std::sync::{mpsc, Arc};
 
@@ -33,7 +32,6 @@ pub fn run_shards(
     cache: &Arc<MeasurementCache>,
 ) -> Result<Vec<ShardReport>, TunerError> {
     let total = workers.clamp(1, matrix.len().max(1));
-    let done = hmpt_obs::counter("serve.shards_done");
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel();
         for shard in 0..total {
@@ -49,10 +47,7 @@ pub fn run_shards(
         let mut first_err = None;
         for result in rx {
             match result {
-                Ok(report) => {
-                    done.incr();
-                    reports.push(report);
-                }
+                Ok(report) => reports.push(report),
                 Err(e) => first_err = first_err.or(Some(e)),
             }
         }

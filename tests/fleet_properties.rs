@@ -10,7 +10,7 @@ use std::sync::Arc;
 use hmpt_fleet::{Fleet, FleetConfig, TuningJob};
 use hmpt_repro::core::campaign::{CampaignPlan, RepPolicy};
 use hmpt_repro::core::driver::Driver;
-use hmpt_repro::core::exec::{CachingExecutor, ExecutorKind, ParallelExecutor, SerialExecutor};
+use hmpt_repro::core::exec::{CachingExecutor, ExecutorKind};
 use hmpt_repro::core::grouping::{group, GroupingConfig};
 use hmpt_repro::core::measure::{CampaignConfig, CampaignResult};
 use hmpt_repro::core::MeasurementCache;
@@ -114,7 +114,7 @@ fn assert_analyses_bit_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `ParallelExecutor` output is bit-identical to `SerialExecutor`
+    /// `ExecutorKind::Parallel` output is bit-identical to `ExecutorKind::Serial`
     /// for random workloads, seeds, and worker counts.
     #[test]
     fn parallel_executor_is_bit_identical(
@@ -187,9 +187,9 @@ proptest! {
 
         // Eager reference: one chunk spanning every cell.
         let plan = CampaignPlan::new(&machine, &spec, &groups, cfg).unwrap();
-        let eager = plan.execute_chunked(&SerialExecutor, usize::MAX).unwrap();
+        let eager = plan.execute_chunked(&ExecutorKind::Serial, usize::MAX).unwrap();
 
-        let chunked = plan.execute_chunked(&SerialExecutor, chunk).unwrap();
+        let chunked = plan.execute_chunked(&ExecutorKind::Serial, chunk).unwrap();
         assert_campaigns_bit_identical(&eager, &chunked)?;
 
         let cache = Arc::new(MeasurementCache::new());
@@ -221,11 +221,11 @@ proptest! {
         let policy = RepPolicy::confidence(0.02, 5);
 
         let plan = CampaignPlan::new(&machine, &spec, &groups, cfg).unwrap().with_policy(policy);
-        let serial = plan.execute(&SerialExecutor).unwrap();
+        let serial = plan.execute(&ExecutorKind::Serial).unwrap();
         prop_assert!(serial.executed_runs <= serial.planned_runs);
 
         let par = plan
-            .execute_chunked(&ParallelExecutor::with_workers(workers), chunk)
+            .execute_chunked(&ExecutorKind::Parallel { workers }, chunk)
             .unwrap();
         assert_campaigns_bit_identical(&serial, &par)?;
 

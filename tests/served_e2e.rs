@@ -3,9 +3,11 @@
 //! direct `api::execute`; a warm re-submission simulates nothing; the
 //! coordinator's shared cache stops overlapping jobs double-simulating
 //! their common cells across the job boundary; a served report's cache
-//! counts are the job's own traffic; tenant quotas reject typed while
+//! counts are the job's own traffic; a job runs each campaign group
+//! once at any worker count; tenant quotas reject typed while
 //! other tenants proceed; and a state dir that died mid-flight is
-//! adopted and completed on restart. The shared cache's journal
+//! adopted and completed on restart, unless its spec no longer matches
+//! its admission fingerprint. The shared cache's journal
 //! (`cache.log`) holds exactly each job's new cells, is replayed after a
 //! crash, never restores a cell the LRU bound evicted, and is not
 //! written by a warm job; an unreadable `queue.json` is moved aside.
@@ -171,9 +173,8 @@ fn overlapping_jobs_share_the_cache_instead_of_resimulating() {
 }
 
 /// A served report's `stats.cache` is the job's own cache traffic —
-/// the same counts `JobStats` reports — even when two shard workers
-/// run concurrently over the shared cache (the mg-only job's two
-/// budget rows land in different shards and race on one campaign).
+/// the same counts `JobStats` reports — even when two workers run
+/// campaign groups concurrently over the shared cache.
 #[test]
 fn served_report_cache_stats_are_the_jobs_own_traffic() {
     let dir = temp_dir("report-traffic");
@@ -195,6 +196,32 @@ fn served_report_cache_stats_are_the_jobs_own_traffic() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A served job runs each campaign group once, at any worker count: a
+/// cold job looks each of its cells up once, so the cache saves it
+/// nothing and counts one miss per simulated cell, and its report is
+/// one run's, with no per-shard rollups.
+#[test]
+fn a_served_job_runs_each_campaign_group_once() {
+    for workers in [1, 2, 3] {
+        let dir = temp_dir(&format!("groups-once-{workers}"));
+        let mut config = CoordinatorConfig::new(&dir);
+        config.workers = workers;
+        let coordinator = Coordinator::open(config).expect("open");
+        let (job, _) = coordinator.submit("ci", 0, SPEC_MG).expect("admitted");
+        coordinator.run_until_idle();
+        let stats = stats_of(&coordinator, job);
+        let report: MatrixReport =
+            serde_json::from_value(&coordinator.report(job).expect("report")).expect("parses");
+        let cache = report.stats.cache;
+        assert!(stats.simulated_cells > 0, "workers {workers}: {stats:?}");
+        assert_eq!(stats.cells_skipped, 0, "workers {workers}: {stats:?}");
+        assert_eq!(cache.hits, 0, "workers {workers}: {cache:?}");
+        assert_eq!(cache.misses, stats.simulated_cells, "workers {workers}: {cache:?}");
+        assert!(report.shards.is_none(), "workers {workers}: the report carries shard rollups");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -270,6 +297,30 @@ fn restart_adopts_queued_and_mid_flight_jobs() {
     // shared cache.
     assert!(stats_of(&coordinator, interrupted).simulated_cells > 0);
     assert_eq!(stats_of(&coordinator, queued).simulated_cells, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job whose spec no longer resolves to the fingerprint stamped at
+/// admission (say, a hand-edited `queue.json`) fails, naming the
+/// mismatch, before it simulates anything or serves a report under the
+/// wrong fingerprint.
+#[test]
+fn a_job_that_no_longer_matches_its_admission_fingerprint_fails() {
+    let dir = temp_dir("fingerprint");
+    std::fs::create_dir_all(&dir).expect("state dir");
+    let mut queue = JobQueue::new(QueueConfig::default());
+    let job = queue.submit("ci", 0, SPEC_MG.to_string(), "0".repeat(16)).expect("admit");
+    let snapshot = serde_json::to_string(&queue.snapshot()).expect("serialize");
+    std::fs::write(dir.join("queue.json"), snapshot).expect("write queue.json");
+
+    let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("open");
+    coordinator.run_until_idle();
+    let view = coordinator.status(Some(job)).expect("status");
+    let status = &view.jobs[0];
+    assert_eq!(status.state, JobState::Failed);
+    let error = status.error.as_deref().unwrap_or_default();
+    assert!(error.contains("does not match the spec fingerprint"), "{error}");
+    assert_eq!(coordinator.cache_len(), 0, "a mismatched job must not simulate");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
