@@ -17,26 +17,32 @@
 //! future remote endpoint execute the *same* document through the
 //! *same* code path — the CLI binary is a thin shell that compiles
 //! flags into a spec and renders the response. All verification the
-//! old CLI performed inline (serial-vs-parallel comparison, strategy
-//! bit-identity re-runs, budget/capacity audits, shard fingerprint
+//! old CLI performed inline (serial-vs-parallel comparison, the
+//! bit-identity re-run, budget/capacity audits, shard fingerprint
 //! validation) lives here, behind one error type ([`ApiError`]), so
-//! every entry point enforces it identically.
+//! every entry point enforces it identically. A matrix reaches the
+//! simulator through one function, [`run_checked`]: the whole matrix,
+//! a shard and a served job (`hmpt_served`'s coordinator) all run,
+//! audit and verify the same way.
 
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 use hmpt_core::driver::Driver;
 use hmpt_core::error::TunerError;
 use hmpt_core::exec::ExecutorKind;
 use hmpt_core::measure::run_campaign_with;
-use hmpt_core::scenario::{rows_capacity_ok, MatrixReport, MergeError, ShardReport};
+use hmpt_core::scenario::{
+    rows_bit_identical, rows_capacity_ok, MatrixReport, MatrixStats, MergeError, ScenarioMatrix,
+    ScenarioRow, ShardReport,
+};
 use hmpt_core::store::{self, LoadReport, SaveReport, StoreError};
 use serde::Serialize;
 
 use crate::cache::MeasurementCache;
-use crate::matrix::{run_matrix, run_matrix_sharded, run_matrix_with_cache, MatrixConfig};
-use crate::service::{Fleet, FleetReport, JobReport, TuningJob};
+use crate::matrix::run_range;
+use crate::service::{Fleet, FleetConfig, FleetReport, TuningJob};
 use crate::spec::{CampaignSpec, Mode, Resolved, ResolvedBatch, ResolvedMatrix, SpecError};
 
 /// One campaign request, as data.
@@ -200,21 +206,12 @@ impl From<MergeError> for ApiError {
 
 /// Execute a request.
 pub fn execute(request: &Request) -> Result<Response, ApiError> {
-    execute_streaming(request, |_, _| {})
-}
-
-/// [`execute`], streaming each finished batch job to `on_job` (batch
-/// requests only; matrix scenarios aggregate into rows instead).
-pub fn execute_streaming(
-    request: &Request,
-    on_job: impl FnMut(usize, &JobReport),
-) -> Result<Response, ApiError> {
     match request {
         Request::Batch(spec) => {
             let fingerprint = spec.fingerprint()?.to_string();
             match spec.resolve()? {
                 Resolved::Batch(resolved) => {
-                    execute_batch(resolved, fingerprint, on_job).map(Response::Batch)
+                    execute_batch(resolved, fingerprint).map(Response::Batch)
                 }
                 Resolved::Matrix(_) => {
                     Err(ApiError::BadRequest("Request::Batch carries a matrix-mode spec".into()))
@@ -235,12 +232,8 @@ pub fn execute_streaming(
 }
 
 /// The batch path: optional serial-vs-parallel comparison, then the
-/// fleet run (per-job streaming, shared cache, snapshot load/save).
-fn execute_batch(
-    resolved: ResolvedBatch,
-    fingerprint: String,
-    on_job: impl FnMut(usize, &JobReport),
-) -> Result<BatchOutcome, ApiError> {
+/// fleet run (shared cache, snapshot load/save).
+fn execute_batch(resolved: ResolvedBatch, fingerprint: String) -> Result<BatchOutcome, ApiError> {
     let _span = hmpt_obs::span("api.batch");
     let comparison = if resolved.compare {
         // Time against the configured parallel pool (or an auto-sized
@@ -255,7 +248,7 @@ fn execute_batch(
     };
     let fleet = Fleet::new(resolved.fleet);
     let preloaded = fleet.preloaded();
-    let report = fleet.run_streaming(&resolved.jobs, on_job)?;
+    let report = fleet.run(&resolved.jobs)?;
     Ok(BatchOutcome { report, comparison, preloaded, fingerprint })
 }
 
@@ -309,97 +302,80 @@ fn compare(jobs: &[TuningJob], parallel: ExecutorKind) -> Result<Comparison, Api
     Ok(Comparison { serial_s, parallel_s, speedup: serial_s / parallel_s.max(1e-12) })
 }
 
-/// The matrix path: preload the snapshot, run the matrix (or its one
-/// shard), audit capacity, verify bit-identity across strategies, and
-/// save the snapshot back (LRU-swept to `cache.max_records`) if the
-/// run changed the cache.
-fn execute_matrix(resolved: ResolvedMatrix, fingerprint: String) -> Result<Response, ApiError> {
-    let _span = hmpt_obs::span("api.matrix");
-    let ResolvedMatrix { matrix, config, verify, cache_file, cache_max_records, shard } = resolved;
-    let cache = Arc::new(MeasurementCache::new());
-    let load = cache_file
-        .as_ref()
-        .and_then(|path| store::preload(&cache, path, "fleet.cache", "hmpt-fleet: cache snapshot"));
-    let preloaded = load.map_or(0, |r| r.loaded);
-    let mark = cache.mark();
-    // Save-on-finish, skipped when the file already holds the cache:
-    // the preload read all of it, and the run added no cell and the
-    // size bound evicted none.
-    let save = |cache: &MeasurementCache| -> Option<String> {
-        let path = cache_file.as_ref()?;
-        let evicted = cache_max_records.map_or(0, |max| cache.compact(max as usize));
-        if evicted == 0 && load.is_some_and(|r| r.is_clean()) && cache.added_since(mark).is_empty()
-        {
-            return None;
-        }
-        store::save(cache, path).err().map(|e| format!("{}: {e}", path.display()))
-    };
-
-    if let Some(shard_spec) = shard {
-        let report = run_matrix_sharded(&matrix, &config, shard_spec, Arc::clone(&cache))?;
-        if !rows_capacity_ok(&report.rows) {
-            return Err(ApiError::CapacityExceeded);
-        }
-        if verify {
-            let vcfg = MatrixConfig {
-                executor: ExecutorKind::Serial,
-                job_workers: 1,
-                cache_enabled: false,
-                ..config
-            };
-            let other =
-                run_matrix_sharded(&matrix, &vcfg, shard_spec, Arc::new(MeasurementCache::new()))?;
-            if !report.bit_identical(&other) {
-                return Err(ApiError::Diverged { what: "the serial-uncached shard re-run".into() });
-            }
-        }
-        let save_error = save(&cache);
-        return Ok(Response::Shard(ShardOutcome { report, preloaded, fingerprint, save_error }));
-    }
-
-    let mut report = run_matrix_with_cache(&matrix, &config, Arc::clone(&cache))?;
-    // Provenance stamp: which spec produced these rows. Not a result
-    // bit (bit_identical ignores it), so flag-driven and spec-driven
-    // runs of the same campaign still compare equal.
-    report.spec_fingerprint = Some(fingerprint.clone());
-    if !report.capacity_ok() {
+/// The matrix path every front end shares — `hmpt-fleet run`, a
+/// `--shard` and the daemon: run `range` of `matrix` on `fleet` in one
+/// pass, audit every row against its budget and its machine's
+/// capacities, and, with `verify`, compare the rows with exactly one
+/// serial, uncached re-run at the fleet's job width. The other
+/// strategies' bit-identity (cell-parallel, cached, sharded) is proven
+/// by the property tests and CI, not re-run here.
+pub fn run_checked(
+    fleet: &Fleet,
+    matrix: &ScenarioMatrix,
+    range: Range<usize>,
+    verify: bool,
+) -> Result<(Vec<ScenarioRow>, MatrixStats), ApiError> {
+    let (rows, stats) = run_range(fleet, matrix, range.clone())?;
+    if !rows_capacity_ok(&rows) {
         return Err(ApiError::CapacityExceeded);
     }
     if verify {
-        let mut strategies = vec![
-            (
-                "the serial-uncached re-run",
-                MatrixConfig {
-                    executor: ExecutorKind::Serial,
-                    job_workers: 1,
-                    cache_enabled: false,
-                    ..config
-                },
-            ),
-            (
-                "the parallel-uncached re-run",
-                MatrixConfig {
-                    executor: ExecutorKind::parallel(),
-                    job_workers: 0,
-                    cache_enabled: false,
-                    ..config
-                },
-            ),
-        ];
-        if !config.cache_enabled {
-            // The main run was uncached, so a cached pass must run here
-            // for the verified claim to cover all three strategies.
-            strategies.push(("the cached re-run", MatrixConfig { cache_enabled: true, ..config }));
-        }
-        for (name, vcfg) in strategies {
-            let other = run_matrix(&matrix, &vcfg)?;
-            if !report.bit_identical(&other) {
-                return Err(ApiError::Diverged { what: name.into() });
-            }
+        let reference = Fleet::new(FleetConfig {
+            executor: ExecutorKind::Serial,
+            cache_enabled: false,
+            cache_path: None,
+            ..fleet.config().clone()
+        });
+        let (other, _) = run_range(&reference, matrix, range)?;
+        if !rows_bit_identical(&rows, &other) {
+            return Err(ApiError::Diverged { what: "the serial-uncached re-run".into() });
         }
     }
-    let save_error = save(&cache);
-    Ok(Response::Matrix(MatrixOutcome { report, preloaded, fingerprint, save_error }))
+    Ok((rows, stats))
+}
+
+/// The matrix request: one [`run_checked`] over the spec's range (the
+/// whole matrix, or its one shard) on a fleet that preloads the cache
+/// snapshot, then save-on-finish ([`Fleet::persist`], LRU-swept to
+/// `cache.max_records`) if the run changed the cache.
+fn execute_matrix(resolved: ResolvedMatrix, fingerprint: String) -> Result<Response, ApiError> {
+    let _span = hmpt_obs::span("api.matrix");
+    let ResolvedMatrix { matrix, config, verify, cache_file, cache_max_records, shard } = resolved;
+    let fleet = Fleet::new(FleetConfig {
+        cache_path: cache_file,
+        cache_max_records,
+        ..config.fleet_config()
+    });
+    let range = shard.map_or(0..matrix.len(), |s| s.range());
+    let (rows, stats) = run_checked(&fleet, &matrix, range, verify)?;
+    let preloaded = fleet.preloaded();
+    // A failed save degrades the *next* run; these results stand.
+    let save_error = match (fleet.persist(), &fleet.config().cache_path) {
+        (Err(e), Some(path)) => Some(format!("{}: {e}", path.display())),
+        _ => None,
+    };
+    Ok(match shard {
+        Some(shard) => Response::Shard(ShardOutcome {
+            report: ShardReport {
+                shard: shard.shard,
+                total_shards: shard.total,
+                matrix_fingerprint: config.matrix_fingerprint(&matrix).to_string(),
+                rows,
+                stats,
+            },
+            preloaded,
+            fingerprint,
+            save_error,
+        }),
+        None => {
+            let mut report = MatrixReport::assemble(rows, stats);
+            // Provenance stamp: which spec produced these rows. Not a
+            // result bit (bit_identical ignores it), so flag-driven and
+            // spec-driven runs of the same campaign still compare equal.
+            report.spec_fingerprint = Some(fingerprint.clone());
+            Response::Matrix(MatrixOutcome { report, preloaded, fingerprint, save_error })
+        }
+    })
 }
 
 /// The merge path: validate the shards (against the spec, when given),

@@ -123,7 +123,7 @@ fn usage() -> ! {
          \x20                 entries (default: fixed)\n\
          \x20 --noise LIST    noise-level axis as cv values (default: campaign cv)\n\
          \x20 --matrix-out P  write the JSON matrix report to P (default: stdout)\n\
-         \x20 --no-verify     skip the serial/parallel/cached bit-identity re-runs\n\
+         \x20 --no-verify     skip the serial-uncached bit-identity re-run\n\
          \x20 --shard K/N     run only the K-th of N index-range shards (1-based)\n\
          \x20                 and emit a shard report for `hmpt-fleet merge`\n\
          \x20 --shard-out P   write the shard report JSON to P (default: stdout)\n\
@@ -153,8 +153,9 @@ fn usage() -> ! {
          \x20 --allow-flip KEY          allowlist a placement flip (repeatable)\n\
          \x20 --json                    machine-readable output (diff/gate/trend)\n\
          serve options (the campaign-service daemon):\n\
-         \x20 --workers N     campaign groups a served job runs at once\n\
-         \x20                 (default: one per CPU)\n\
+         \x20 --workers N     campaign groups a served job runs at once, each\n\
+         \x20                 group's cells serially (default: one per CPU);\n\
+         \x20                 a spec's serial, workers and job_workers are ignored\n\
          \x20 --quota N       max live jobs per tenant (default 4)\n\
          \x20 --cache-max N   LRU bound on the shared cross-job cache\n\
          \x20 --trace-out P   write the daemon's span/counter trace (JSONL) to P\n\
@@ -697,35 +698,8 @@ fn execute(spec: CampaignSpec, out: Option<String>) {
     let memory = install_telemetry(&telemetry);
     describe(&spec);
     let request = Request::from_spec(spec.clone()).unwrap_or_else(|e| fail(e));
-    let batch_header = matches!(request, Request::Batch(_));
-    if batch_header {
-        hmpt_obs::info(
-            "fleet.table",
-            "workload     max   HBM-only   90% usage   online   cells (hit/miss)   wall".into(),
-        );
-    }
     let t0 = Instant::now();
-    let response = api::execute_streaming(&request, |_, r| {
-        let t2 = &r.analysis.table2;
-        hmpt_obs::info(
-            "fleet.table",
-            format!(
-                "{:<10} {:>5.2}x {:>7.2}x {:>9.1}%  {:>6}  {:>7}/{:<7} {:>7.3}s",
-                r.analysis.workload,
-                t2.max_speedup,
-                t2.hbm_only_speedup,
-                t2.usage_90_pct,
-                r.online
-                    .as_ref()
-                    .map(|o| format!("{:.2}x", o.speedup))
-                    .unwrap_or_else(|| "-".to_string()),
-                r.cache.hits,
-                r.cache.misses,
-                r.wall_s
-            ),
-        );
-    })
-    .unwrap_or_else(|e| fail(e));
+    let response = api::execute(&request).unwrap_or_else(|e| fail(e));
     let total_wall_s = t0.elapsed().as_secs_f64();
 
     let bench = match response {
@@ -866,6 +840,30 @@ fn render_batch(
     let Ok(Resolved::Batch(resolved)) = spec.resolve() else {
         unreachable!("a batch outcome implies a batch spec");
     };
+    hmpt_obs::info(
+        "fleet.table",
+        "workload     max   HBM-only   90% usage   online   cells (hit/miss)   wall".into(),
+    );
+    for r in &outcome.report.reports {
+        let t2 = &r.analysis.table2;
+        hmpt_obs::info(
+            "fleet.table",
+            format!(
+                "{:<10} {:>5.2}x {:>7.2}x {:>9.1}%  {:>6}  {:>7}/{:<7} {:>7.3}s",
+                r.analysis.workload,
+                t2.max_speedup,
+                t2.hbm_only_speedup,
+                t2.usage_90_pct,
+                r.online
+                    .as_ref()
+                    .map(|o| format!("{:.2}x", o.speedup))
+                    .unwrap_or_else(|| "-".to_string()),
+                r.cache.hits,
+                r.cache.misses,
+                r.wall_s
+            ),
+        );
+    }
     if let Some(c) = &outcome.comparison {
         hmpt_obs::info(
             "fleet.stats",

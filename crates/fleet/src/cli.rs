@@ -76,8 +76,8 @@ pub enum Action {
     Serve {
         listen: String,
         state_dir: String,
-        /// `--workers N`: campaign groups a served job runs at once
-        /// (0 = one per CPU).
+        /// `--workers N`: campaign groups a served job runs at once,
+        /// each group's cells serially (0 = one per CPU).
         workers: Option<usize>,
         /// `--quota N`: max live jobs per tenant.
         quota: Option<usize>,

@@ -27,18 +27,21 @@
 //!   runtime is known tightly enough — bit-identically across serial,
 //!   parallel, and cached execution.
 //! * **[`Fleet`]**: the batch front end. It accepts tuning jobs
-//!   (workload × machine × campaign settings), runs them through the
-//!   cache — concurrently across jobs when [`FleetConfig::job_workers`]
-//!   allows, each job's cells serially; otherwise one job at a time on
-//!   the configured executor — streams per-job
-//!   [`hmpt_core::driver::Analysis`] results in deterministic order,
-//!   and reports cache-hit, early-stop, and throughput statistics.
+//!   (workload × machine × campaign settings) and runs them through the
+//!   cache in one pass — concurrently across jobs when
+//!   [`FleetConfig::job_workers`] allows, each job's cells serially;
+//!   otherwise one job at a time on the configured executor — then
+//!   returns per-job [`hmpt_core::driver::Analysis`] results in job
+//!   order, with cache-hit, early-stop, and throughput statistics.
 //! * **Scenario matrices** ([`matrix`], over
 //!   [`hmpt_core::scenario::ScenarioMatrix`] and the machine zoo
 //!   [`hmpt_sim::zoo`]): lazily enumerated cross-platform campaigns —
 //!   machines × workloads × HBM budgets × repetition policies × noise
 //!   levels — executed through the same fleet stack, one job per
-//!   campaign group, so all budget rows read one measured campaign.
+//!   campaign group in one pass, so all budget rows read one measured
+//!   campaign. [`api::run_checked`] is the one checked matrix path
+//!   (run, budget/capacity audit, the `verify` re-run) that
+//!   `hmpt-fleet run`, its shards and the daemon share.
 //!   The aggregated [`MatrixReport`] adds cross-machine views:
 //!   speedup-vs-HBM-bandwidth curves, budget-vs-slowdown frontiers,
 //!   and zoo-wide HBM-resident groups.

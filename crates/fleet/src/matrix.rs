@@ -6,17 +6,20 @@
 //! only in HBM budget, the matrix's innermost axis. [`run_matrix`]
 //! turns each group into one [`TuningJob`] — the group's zoo entry
 //! built into a validated machine, its noise level and repetition
-//! policy applied — runs bounded batches of those jobs through a
-//! [`Fleet`] over one shared [`MeasurementCache`] (the matrix is never
-//! materialized), and builds every budget's row from its job's single
-//! analysis. A budget only changes which measured configuration
-//! `plan_exhaustive` picks, so each campaign is profiled, planned and
-//! measured once, however many budget rows read it.
+//! policy applied — runs all of a range's jobs in one pass over the
+//! [`Fleet`]'s job pool and one shared [`MeasurementCache`] (the matrix
+//! is never materialized), and builds every budget's row from its
+//! job's single analysis, on the worker that ran the job. A budget only
+//! changes which measured configuration `plan_exhaustive` picks, so
+//! each campaign is profiled, planned and measured once, however many
+//! budget rows read it.
 //!
 //! Execution strategy — serial or parallel cells, sequential or
 //! concurrent jobs, cache on or off — never changes a row's bits
-//! (property-tested in `tests/scenario_properties.rs` and re-checked at
-//! runtime by the CLI's verification passes).
+//! (property-tested in `tests/scenario_properties.rs`). A spec's
+//! `verify` re-checks one strategy at runtime: `api::run_checked`, the
+//! matrix path of `hmpt-fleet run`, a `--shard` and the daemon alike,
+//! compares the rows with one serial, uncached re-run.
 //!
 //! The same machinery executes a *shard*: [`run_matrix_sharded`] runs
 //! one index range of the matrix (see [`ScenarioMatrix::shard`]) and
@@ -95,7 +98,9 @@ impl MatrixConfig {
         matrix.fingerprint().combine(self.bits_fingerprint().raw())
     }
 
-    fn fleet_config(&self) -> FleetConfig {
+    /// The fleet settings a matrix runs under: these, with the online
+    /// check off (a matrix row reads the exhaustive campaign only).
+    pub fn fleet_config(&self) -> FleetConfig {
         FleetConfig {
             executor: self.executor,
             grouping: self.grouping,
@@ -116,14 +121,14 @@ pub fn run_matrix(matrix: &ScenarioMatrix, cfg: &MatrixConfig) -> Result<MatrixR
 
 /// Execute a scenario matrix over an existing cache (warm-start: a
 /// matrix sharing machines with an earlier run answers those campaigns
-/// without new simulated runs), one batch of campaign groups at a time
-/// through a [`Fleet`].
+/// without new simulated runs).
 pub fn run_matrix_with_cache(
     matrix: &ScenarioMatrix,
     cfg: &MatrixConfig,
     cache: Arc<MeasurementCache>,
 ) -> Result<MatrixReport, TunerError> {
-    let (rows, stats) = run_matrix_range(matrix, cfg, cache, 0..matrix.len())?;
+    let fleet = Fleet::with_cache(cfg.fleet_config(), cache);
+    let (rows, stats) = run_range(&fleet, matrix, 0..matrix.len())?;
     Ok(MatrixReport::assemble(rows, stats))
 }
 
@@ -144,7 +149,8 @@ pub fn run_matrix_sharded(
     shard: ShardSpec,
     cache: Arc<MeasurementCache>,
 ) -> Result<ShardReport, TunerError> {
-    let (rows, stats) = run_matrix_range(matrix, cfg, cache, shard.range())?;
+    let fleet = Fleet::with_cache(cfg.fleet_config(), cache);
+    let (rows, stats) = run_range(&fleet, matrix, shard.range())?;
     Ok(ShardReport {
         shard: shard.shard,
         total_shards: shard.total,
@@ -154,53 +160,43 @@ pub fn run_matrix_sharded(
     })
 }
 
-/// The shared range runner: run each campaign group of `range` as one
-/// job, in bounded batches through a [`Fleet`] over `cache`, and build
-/// one row per scenario from its group's analysis.
-fn run_matrix_range(
+/// The range runner behind every matrix entry point: run each campaign
+/// group of `range` as one job on `fleet`, all groups in one pass over
+/// `Fleet::pool`, and build one row per scenario from its group's
+/// analysis on the worker that ran the group — so no more analyses are
+/// alive at once than there are workers.
+pub(crate) fn run_range(
+    fleet: &Fleet,
     matrix: &ScenarioMatrix,
-    cfg: &MatrixConfig,
-    cache: Arc<MeasurementCache>,
     range: Range<usize>,
 ) -> Result<(Vec<ScenarioRow>, MatrixStats), TunerError> {
     assert!(range.end <= matrix.len(), "range {range:?} exceeds matrix len {}", matrix.len());
     let _range_span =
         hmpt_obs::span_with("matrix.range", || format!("{}..{}", range.start, range.end));
     let t0 = Instant::now();
-    let before = cache.stats();
-    let fleet = Fleet::with_cache(cfg.fleet_config(), cache);
-    // Campaign groups per fleet batch: a few per job worker, which
-    // bounds peak memory.
-    let batch_size = (fleet.job_workers() * 4).max(8);
-
+    let before = fleet.cache().stats();
+    let groups: Vec<Range<usize>> = matrix.campaigns(range.clone()).collect();
+    let (pool, cells) = fleet.pool(groups.len());
+    let group_rows = pool.run(groups.len(), |g| -> Result<Vec<ScenarioRow>, TunerError> {
+        let group = groups[g].clone();
+        let s = matrix.scenario(group.start);
+        let job = TuningJob::new(s.workload.clone())
+            .with_machine(s.build_machine()?)
+            .with_campaign(s.campaign)
+            .with_rep_policy(s.rep_policy)
+            // Per-campaign telemetry label: the `fleet.job` span of
+            // scenarios 3, 4 and 5 reads "#3..6 machine·workload".
+            .with_label(format!("#{group:?} {}·{}", s.entry.name, s.workload.name));
+        let analysis = fleet.run_job_with(&job, cells)?.analysis;
+        Ok(group
+            .map(|i| ScenarioRow::build(&matrix.scenario(i), &job.machine, &analysis))
+            .collect())
+    });
     let mut rows: Vec<ScenarioRow> = Vec::with_capacity(range.len());
-    let mut campaigns = matrix.campaigns(range);
-    loop {
-        let batch: Vec<Range<usize>> = campaigns.by_ref().take(batch_size).collect();
-        if batch.is_empty() {
-            break;
-        }
-        let jobs: Vec<TuningJob> = batch
-            .iter()
-            .map(|group| {
-                let s = matrix.scenario(group.start);
-                Ok(TuningJob::new(s.workload.clone())
-                    .with_machine(s.build_machine()?)
-                    .with_campaign(s.campaign)
-                    .with_rep_policy(s.rep_policy)
-                    // Per-campaign telemetry label: the `fleet.job` span of
-                    // scenarios 3, 4 and 5 reads "#3..6 machine·workload".
-                    .with_label(format!("#{group:?} {}·{}", s.entry.name, s.workload.name)))
-            })
-            .collect::<Result<_, TunerError>>()?;
-        let report = fleet.run(&jobs)?;
-        for ((group, job), job_report) in batch.into_iter().zip(&jobs).zip(&report.reports) {
-            let analysis = &job_report.analysis;
-            rows.extend(
-                group.map(|i| ScenarioRow::build(&matrix.scenario(i), &job.machine, analysis)),
-            );
-        }
+    for group in group_rows {
+        rows.extend(group?);
     }
+    fleet.observe_cache();
 
     let wall_s = t0.elapsed().as_secs_f64();
     let stats = MatrixStats {

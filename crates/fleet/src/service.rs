@@ -1,10 +1,16 @@
 //! The fleet front end: batches of tuning jobs over a shared pool and
 //! cache.
 //!
+//! A run fans out once: `Fleet::pool` sizes one job pool for all of
+//! a run's jobs — a batch's jobs, or a matrix's campaign groups — and
+//! [`Fleet::run`] (like the matrix path) runs them in a single
+//! `ExecutorKind::run` pass. Jobs that run at once run their cells
+//! serially; a lone job runs them on [`FleetConfig::executor`].
+//!
 //! Each job runs the full Fig 6 pipeline (profile → group → measure →
 //! analyze). The measurement campaign is planned as a
 //! [`CampaignPlan`] — cells enumerated lazily, fingerprints memoized
-//! once per job — and streamed through the configured executor, wrapped
+//! once per job — and streamed through the job's cell executor, wrapped
 //! in a [`hmpt_core::exec::CachingExecutor`] over the shared
 //! [`MeasurementCache`] unless caching is disabled. An optional per-job *online verification pass*
 //! replays the paper's incremental tuner through the same plan and
@@ -58,8 +64,8 @@ pub struct FleetConfig {
     pub cache_enabled: bool,
     /// How many *jobs* run concurrently. `1` (the default) runs jobs
     /// one at a time, each on [`Self::executor`]; `0` auto-sizes to the
-    /// host. Above one, the jobs share one pool and run their cells
-    /// serially, so the batch never nests a cell pool under the job
+    /// host. Above one, all of a run's jobs share one pool and run their
+    /// cells serially, so a run never nests a cell pool under the job
     /// pool. Reports are always delivered in job-index order, and
     /// results are bit-identical to sequential execution; only per-job
     /// cache *attribution* becomes approximate when concurrent jobs race
@@ -67,8 +73,8 @@ pub struct FleetConfig {
     pub job_workers: usize,
     /// On-disk cache snapshot ([`hmpt_core::store`]): loaded into the
     /// shared cache when the fleet is built (a missing or unusable
-    /// snapshot is a cold start, not an error) and re-saved after every
-    /// completed batch that changed the cache — so fleet runs
+    /// snapshot is a cold start, not an error) and re-saved when a run
+    /// that changed the cache ends — so fleet runs
     /// warm-start across process restarts. Ignored while
     /// `cache_enabled` is off (an empty cache must not clobber a good
     /// snapshot).
@@ -155,7 +161,7 @@ impl TuningJob {
     }
 }
 
-/// What the fleet streams back per job.
+/// What the fleet reports per job.
 #[derive(Debug, Clone)]
 pub struct JobReport {
     pub analysis: Analysis,
@@ -267,10 +273,10 @@ impl Fleet {
     /// temp-file + rename). `Ok(None)` when no path is configured,
     /// caching is off, or the file already holds the cache: the preload
     /// or the last save read or wrote it whole, and since then no cell
-    /// was added and the size bound evicted none. [`Self::run_streaming`]
-    /// calls this after every completed batch — save-on-finish — but
-    /// callers may also persist explicitly (e.g. after a matrix run over
-    /// the fleet's cache).
+    /// was added and the size bound evicted none. [`Self::run`] calls
+    /// this when a batch ends — save-on-finish — and the matrix path
+    /// (`api::execute`) after a checked matrix run over the fleet's
+    /// cache.
     pub fn persist(&self) -> Result<Option<SaveReport>, StoreError> {
         let Some(path) = self.cfg.cache_path.as_ref().filter(|_| self.cfg.cache_enabled) else {
             return Ok(None);
@@ -297,9 +303,9 @@ impl Fleet {
         self.run_job_with(job, self.cfg.executor)
     }
 
-    /// [`Self::run_job`] with an explicit cell-level executor — the
-    /// concurrent-jobs path runs each job's cells serially.
-    fn run_job_with(
+    /// [`Self::run_job`] with an explicit cell-level executor — the one
+    /// `Self::pool` picks for the run.
+    pub(crate) fn run_job_with(
         &self,
         job: &TuningJob,
         executor: ExecutorKind,
@@ -358,70 +364,60 @@ impl Fleet {
         })
     }
 
-    /// The effective job-level worker count (`0` = auto-detect).
-    pub(crate) fn job_workers(&self) -> usize {
-        if self.cfg.job_workers == 0 {
-            available_workers()
-        } else {
-            self.cfg.job_workers
+    /// The one fan-out of a run of `jobs` jobs: the job pool and the
+    /// executor of each job's cells. Jobs that run at once run their
+    /// cells serially, so no cell pool nests under the job pool; a lone
+    /// job (one job, or `job_workers` 1) runs its cells on
+    /// [`FleetConfig::executor`].
+    pub(crate) fn pool(&self, jobs: usize) -> (ExecutorKind, ExecutorKind) {
+        let workers = match self.cfg.job_workers {
+            0 => available_workers(),
+            n => n,
+        };
+        match workers.min(jobs) {
+            0 | 1 => (ExecutorKind::Serial, self.cfg.executor),
+            workers => (ExecutorKind::Parallel { workers }, ExecutorKind::Serial),
         }
     }
 
-    /// Run a batch, streaming each finished job to `on_report`.
-    ///
-    /// With `job_workers > 1`, independent jobs are evaluated
-    /// concurrently on a work-stealing pool, each job's cells serially
-    /// on its pool thread; reports are still
-    /// delivered to `on_report` in job-index order (after the batch
-    /// completes), and every result is bit-identical to sequential
-    /// execution — cells are seed-deterministic and a racing cache
-    /// insert stores the identical outcome. On an error, the first
-    /// failing job in index order wins.
-    pub fn run_streaming(
-        &self,
-        jobs: &[TuningJob],
-        mut on_report: impl FnMut(usize, &JobReport),
-    ) -> Result<FleetReport, TunerError> {
-        let _batch_span = hmpt_obs::span("fleet.batch");
-        let t0 = Instant::now();
-        let before = self.cache.stats();
-        let workers = self.job_workers().min(jobs.len().max(1));
-        let mut reports = Vec::with_capacity(jobs.len());
-        let (mut planned, mut executed) = (0u64, 0u64);
-        if workers <= 1 {
-            for (i, job) in jobs.iter().enumerate() {
-                let report = self.run_job(job)?;
-                planned += report.analysis.campaign.planned_runs as u64;
-                executed += report.analysis.campaign.executed_runs as u64;
-                on_report(i, &report);
-                reports.push(report);
-            }
-        } else {
-            let results = ExecutorKind::Parallel { workers }
-                .run(jobs.len(), |i| self.run_job_with(&jobs[i], ExecutorKind::Serial));
-            for (i, result) in results.into_iter().enumerate() {
-                let report = result?;
-                planned += report.analysis.campaign.planned_runs as u64;
-                executed += report.analysis.campaign.executed_runs as u64;
-                on_report(i, &report);
-                reports.push(report);
-            }
-        }
-        // Save-on-finish: a configured snapshot path persists the
-        // warmed cache after every completed batch. Failure to persist
-        // degrades the *next* run to a colder start; it does not
-        // invalidate this one, so report it without failing the batch.
-        if let Err(e) = self.persist() {
-            hmpt_obs::warn("fleet.cache", format!("hmpt-fleet: cache snapshot not saved: {e}"));
-        }
-        let wall_s = t0.elapsed().as_secs_f64();
-        let cache = self.cache.stats().since(&before);
-        // Only a cache-consulting batch updates the residency gauge — a
-        // cache-off pass (e.g. a bit-identity verify re-run) observed
-        // nothing and must not zero the real cache's reading.
+    /// Publish the shared cache's residency as the `cache.entries`
+    /// gauge. Only a cache-consulting run does: a cache-off pass (a
+    /// bit-identity verify re-run) observed nothing and must not zero
+    /// the real cache's reading.
+    pub(crate) fn observe_cache(&self) {
         if self.cfg.cache_enabled {
             hmpt_obs::gauge("cache.entries").set(self.cache.len() as u64);
         }
+    }
+
+    /// Run a batch: every job in one pass over one job pool (sized by
+    /// [`FleetConfig::job_workers`]), reports in job-index order. With
+    /// one worker the jobs run in order, each on
+    /// [`FleetConfig::executor`]. Every result is bit-identical to
+    /// sequential execution — cells are seed-deterministic and a racing
+    /// cache insert stores the identical outcome. On an error, the
+    /// first failing job in index order wins. A configured snapshot is
+    /// saved when the batch ends ([`Self::persist`]).
+    pub fn run(&self, jobs: &[TuningJob]) -> Result<FleetReport, TunerError> {
+        let _batch_span = hmpt_obs::span("fleet.batch");
+        let t0 = Instant::now();
+        let before = self.cache.stats();
+        let (pool, cells) = self.pool(jobs.len());
+        let reports = pool
+            .run(jobs.len(), |i| self.run_job_with(&jobs[i], cells))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        // Save-on-finish. Failure to persist degrades the *next* run to
+        // a colder start; it does not invalidate this one, so report it
+        // without failing the batch.
+        if let Err(e) = self.persist() {
+            hmpt_obs::warn("fleet.cache", format!("hmpt-fleet: cache snapshot not saved: {e}"));
+        }
+        self.observe_cache();
+        let wall_s = t0.elapsed().as_secs_f64();
+        let cache = self.cache.stats().since(&before);
+        let planned: u64 = reports.iter().map(|r| r.analysis.campaign.planned_runs as u64).sum();
+        let executed: u64 = reports.iter().map(|r| r.analysis.campaign.executed_runs as u64).sum();
         let cells = cache.hits + cache.misses;
         Ok(FleetReport {
             reports,
@@ -435,11 +431,6 @@ impl Fleet {
                 cells_per_s: if wall_s > 0.0 { cells as f64 / wall_s } else { 0.0 },
             },
         })
-    }
-
-    /// Run a batch, collecting all job reports.
-    pub fn run(&self, jobs: &[TuningJob]) -> Result<FleetReport, TunerError> {
-        self.run_streaming(jobs, |_, _| {})
     }
 }
 
@@ -555,15 +546,9 @@ mod tests {
         let parallel =
             Fleet::new(FleetConfig { online_check: false, job_workers: 4, ..Default::default() });
         let s = sequential.run(&jobs).unwrap();
-        let mut seen = Vec::new();
-        let p = parallel
-            .run_streaming(&jobs, |i, r| seen.push((i, r.analysis.workload.clone())))
-            .unwrap();
-        assert_eq!(
-            seen,
-            vec![(0, "mg.D".to_string()), (1, "is.Cx4".to_string()), (2, "sp.D".to_string())],
-            "reports must arrive in job-index order"
-        );
+        let p = parallel.run(&jobs).unwrap();
+        let seen: Vec<_> = p.reports.iter().map(|r| r.analysis.workload.clone()).collect();
+        assert_eq!(seen, ["mg.D", "is.Cx4", "sp.D"], "reports must arrive in job-index order");
         for (a, b) in s.reports.iter().zip(&p.reports) {
             assert_eq!(
                 a.analysis.table2.max_speedup.to_bits(),
@@ -682,13 +667,9 @@ mod tests {
     fn batch_streams_in_order_and_counts_stats() {
         let fleet = Fleet::new(FleetConfig::default());
         let jobs = vec![mg_job(), TuningJob::new(hmpt_workloads::npb::is::workload()), mg_job()];
-        let mut seen = Vec::new();
-        let report =
-            fleet.run_streaming(&jobs, |i, r| seen.push((i, r.analysis.workload.clone()))).unwrap();
-        assert_eq!(
-            seen,
-            vec![(0, "mg.D".to_string()), (1, "is.Cx4".to_string()), (2, "mg.D".to_string())]
-        );
+        let report = fleet.run(&jobs).unwrap();
+        let seen: Vec<_> = report.reports.iter().map(|r| r.analysis.workload.clone()).collect();
+        assert_eq!(seen, ["mg.D", "is.Cx4", "mg.D"]);
         assert_eq!(report.stats.jobs, 3);
         // The duplicated mg job dedups against the first one.
         assert_eq!(report.reports[2].cache.misses, 0);

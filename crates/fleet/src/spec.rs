@@ -34,7 +34,7 @@
 //! job_workers = 1               # concurrent jobs/campaigns (0 = auto)
 //! compare     = true            # batch: serial-vs-parallel timing pass
 //! online      = true            # batch: online-tuner verification
-//! verify      = true            # matrix: bit-identity re-runs
+//! verify      = true            # matrix: serial-uncached re-run
 //! fast_path   = true            # batched cold-path kernel (bit-identical)
 //!
 //! [cache]
@@ -137,14 +137,15 @@ pub struct ExecutionSection {
     /// job runs at a time: concurrent jobs run their cells serially.
     pub workers: Option<usize>,
     /// Concurrent jobs/campaigns (0 = auto; default 1). A served job
-    /// takes the daemon's `--workers` instead.
+    /// ignores `serial`, `workers` and this: it runs the daemon's
+    /// `--workers` campaign groups at once, each group's cells serially.
     pub job_workers: Option<usize>,
     /// Batch: run the serial-vs-parallel comparison pass (default true).
     pub compare: Option<bool>,
     /// Batch: run the online-tuner verification pass (default true).
     pub online: Option<bool>,
-    /// Matrix: re-run under other strategies and assert bit-identity
-    /// (default true).
+    /// Matrix: re-run once, serial and uncached at the same job width,
+    /// and assert bit-identity (default true).
     pub verify: Option<bool>,
     /// Evaluate campaign cells through the batched cold-path kernel
     /// (default true). Scheduling only — the kernel is bit-identical by
@@ -241,7 +242,8 @@ pub struct ResolvedBatch {
 pub struct ResolvedMatrix {
     pub matrix: ScenarioMatrix,
     pub config: MatrixConfig,
-    /// Re-run under other strategies and assert bit-identity.
+    /// Re-run once, serial and uncached, and assert bit-identity
+    /// ([`crate::api::run_checked`]).
     pub verify: bool,
     pub cache_file: Option<PathBuf>,
     pub cache_max_records: Option<u64>,

@@ -28,8 +28,9 @@
 //!
 //! The shared cache is the service's reason to exist as a *daemon*
 //! rather than a loop around `hmpt-fleet run`: each job is one
-//! `run_matrix_with_cache` call over it, its campaign groups spread over
-//! the fleet's job pool ([`CoordinatorConfig::workers`] at a time), so
+//! `api::run_checked` call over it — the matrix path `hmpt-fleet run`
+//! takes — its campaign groups spread over the fleet's job pool
+//! ([`CoordinatorConfig::workers`] at a time, cells serially), so
 //! two jobs whose scenario matrices overlap simulate their shared cells
 //! exactly once, service-lifetime-wide. Keys are content addresses, so
 //! a cell a job measured stays valid even if that job later fails, and
@@ -46,7 +47,9 @@ use hmpt_core::cache::{Mark, MeasurementCache};
 use hmpt_core::exec::ExecutorKind;
 use hmpt_core::scenario::MatrixReport;
 use hmpt_core::store;
-use hmpt_fleet::matrix::{run_matrix, run_matrix_with_cache, MatrixConfig};
+use hmpt_fleet::api;
+use hmpt_fleet::matrix::MatrixConfig;
+use hmpt_fleet::service::Fleet;
 use hmpt_fleet::spec::{CampaignSpec, Resolved, ResolvedMatrix};
 use serde::Value;
 
@@ -65,7 +68,9 @@ const CACHE_LOG: &str = "cache.log";
 pub struct CoordinatorConfig {
     pub state_dir: PathBuf,
     /// Campaign groups a job runs at once on the fleet's job pool, each
-    /// group's cells serially; 0 means one per available CPU.
+    /// group's cells serially; 0 means one per available CPU. This is a
+    /// served job's whole width: the spec's `[execution]` `serial`,
+    /// `workers` and `job_workers` are ignored.
     pub workers: usize,
     /// Max live (queued + mid-flight) jobs per tenant.
     pub tenant_quota: usize,
@@ -630,9 +635,10 @@ impl Coordinator {
     }
 
     /// Resolve the job's spec, check it against the admission
-    /// fingerprint, and run it as one matrix over the shared cache,
-    /// [`CoordinatorConfig::workers`] campaign groups at a time. Returns
-    /// the stamped report.
+    /// fingerprint, and run it through `api::run_checked` — run, audit
+    /// and the spec's `verify` re-run, as `hmpt-fleet run` does — over
+    /// the shared cache, [`CoordinatorConfig::workers`] campaign groups
+    /// at a time. Returns the stamped report.
     fn simulate(&self, record: &JobRecord) -> Result<MatrixReport, String> {
         let resolved = CampaignSpec::parse(&record.spec)
             .and_then(|spec| spec.resolve())
@@ -649,24 +655,18 @@ impl Coordinator {
             ));
         }
 
-        let config = MatrixConfig { job_workers: self.cfg.workers, ..config };
-        let mut report = run_matrix_with_cache(&matrix, &config, Arc::clone(&self.cache))
+        // `workers` is the job's whole width: the groups it runs at once
+        // run their cells serially, whatever the spec's executor says.
+        let config = MatrixConfig {
+            executor: ExecutorKind::Serial,
+            job_workers: self.cfg.workers,
+            ..config
+        };
+        let fleet = Fleet::with_cache(config.fleet_config(), Arc::clone(&self.cache));
+        let (rows, stats) = api::run_checked(&fleet, &matrix, 0..matrix.len(), verify)
             .map_err(|e| e.to_string())?;
-        if verify {
-            // The spec asked for the bit-identity audit: re-run at the
-            // same width, serial and uncached (with caching off, no
-            // cache is consulted).
-            let vcfg =
-                MatrixConfig { executor: ExecutorKind::Serial, cache_enabled: false, ..config };
-            let other = run_matrix(&matrix, &vcfg).map_err(|e| format!("verify re-run: {e}"))?;
-            if !report.bit_identical(&other) {
-                return Err("diverged from the serial-uncached re-run".into());
-            }
-        }
+        let mut report = MatrixReport::assemble(rows, stats);
         report.spec_fingerprint = Some(fingerprint);
-        if !report.capacity_ok() {
-            return Err("scenario exceeds machine capacity".into());
-        }
         Ok(report)
     }
 

@@ -15,9 +15,10 @@
 //!   quotas and cancellation.
 //! * [`coordinator`] — execution: the coordinator owns a shared
 //!   persistent [`hmpt_core::cache::MeasurementCache`] and runs each
-//!   job's scenario matrix as one `run_matrix_with_cache` call over it,
-//!   `workers` campaign groups at a time on the fleet's job pool, after
-//!   checking the spec against its admission fingerprint — so a second
+//!   job's scenario matrix as one `hmpt_fleet::api::run_checked` call
+//!   over it — the matrix path `hmpt-fleet run` takes — `workers`
+//!   campaign groups at a time on the fleet's job pool, cells serially,
+//!   after checking the spec against its admission fingerprint — so a second
 //!   job never re-simulates cells a previous job measured. ([`worker`]'s
 //!   shard pool is off the service's path.)
 //!

@@ -1,7 +1,7 @@
 //! An in-process shard-worker pool, no longer on the service's path.
 //!
 //! The coordinator runs each job as one matrix on the fleet's job pool
-//! (`hmpt_fleet::matrix::run_matrix_with_cache`), so a campaign group
+//! (`hmpt_fleet::api::run_checked`), so a campaign group
 //! runs once however the workers are set. [`run_shards`] stays public
 //! only because the benchmark's served replica (`perfbench/src/replay.rs`)
 //! compiles against it; it goes when ROADMAP item 4 deletes the replica.

@@ -10,7 +10,21 @@
 //! DDR-only baseline) are answered from the cache without a single new
 //! simulated run.
 
-use hmpt_fleet::{Fleet, FleetConfig, TuningJob};
+use hmpt_fleet::{Fleet, FleetConfig, FleetReport, TuningJob};
+
+/// One line per job, in job order, once the batch has ended.
+fn print_jobs(report: &FleetReport) {
+    for r in &report.reports {
+        println!(
+            "{:<6} max {:.2}x | 90% usage {:.1}% | {} cells simulated, {} cached",
+            r.analysis.workload,
+            r.analysis.table2.max_speedup,
+            r.analysis.table2.usage_90_pct,
+            r.cache.misses,
+            r.cache.hits,
+        );
+    }
+}
 
 fn main() {
     let fleet = Fleet::new(FleetConfig::default());
@@ -22,18 +36,8 @@ fn main() {
             .collect();
 
     println!("-- batch 1 (cold cache) --");
-    let report = fleet
-        .run_streaming(&first, |_, r| {
-            println!(
-                "{:<6} max {:.2}x | 90% usage {:.1}% | {} cells simulated, {} cached",
-                r.analysis.workload,
-                r.analysis.table2.max_speedup,
-                r.analysis.table2.usage_90_pct,
-                r.cache.misses,
-                r.cache.hits,
-            );
-        })
-        .expect("batch 1");
+    let report = fleet.run(&first).expect("batch 1");
+    print_jobs(&report);
     println!("batch 1 hit-rate: {:.1}%\n", report.stats.cache.hit_rate() * 100.0);
 
     // A second customer re-tunes MG (identical job) and adds IS.
@@ -44,18 +48,8 @@ fn main() {
             .collect();
 
     println!("-- batch 2 (mg.D dedups against batch 1) --");
-    let report = fleet
-        .run_streaming(&second, |_, r| {
-            println!(
-                "{:<6} max {:.2}x | 90% usage {:.1}% | {} cells simulated, {} cached",
-                r.analysis.workload,
-                r.analysis.table2.max_speedup,
-                r.analysis.table2.usage_90_pct,
-                r.cache.misses,
-                r.cache.hits,
-            );
-        })
-        .expect("batch 2");
+    let report = fleet.run(&second).expect("batch 2");
+    print_jobs(&report);
     println!("batch 2 hit-rate: {:.1}%", report.stats.cache.hit_rate() * 100.0);
 
     let stats = fleet.cache().stats();

@@ -3,7 +3,9 @@
 //! a JSONL trace sink) produces byte-identical results to running it
 //! with telemetry off — across serial, parallel, and cached executors,
 //! including the on-disk cache snapshot — and the trace a run emits is
-//! schema-valid JSONL.
+//! schema-valid JSONL. The trace also pins how much work a run does:
+//! a matrix starts one pool for all its campaign groups, `verify`
+//! re-runs it once, and a served job at one worker starts no pool.
 //!
 //! Telemetry state is process-global, so every test here serializes on
 //! one lock and tears the collector back down before releasing it.
@@ -11,6 +13,9 @@
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use hmpt_fleet::api::{self, Request, Response};
+use hmpt_fleet::matrix::run_matrix;
+use hmpt_fleet::spec::{CampaignSpec, Resolved};
 use hmpt_fleet::{Fleet, FleetConfig, TuningJob};
 use hmpt_obs::JsonlCollector;
 use hmpt_repro::core::exec::ExecutorKind;
@@ -18,6 +23,7 @@ use hmpt_repro::core::measure::CampaignConfig;
 use hmpt_repro::sim::noise::NoiseModel;
 use hmpt_repro::sim::stream::Direction;
 use hmpt_repro::workloads::model::{Phase, StreamSpec, WorkloadSpec};
+use hmpt_served::{Coordinator, CoordinatorConfig, JobState};
 use proptest::prelude::*;
 use serde::Value;
 
@@ -289,4 +295,103 @@ fn trace_contents_match_the_run() {
     assert_eq!(Some(cell_spans), miss_total, "one exec.cell span per simulated cell");
     assert_eq!(job_spans, 2, "one fleet.job span per run_job");
     assert_eq!(hit_total, Some(warm.cache.hits), "hit counter matches the report");
+}
+
+/// The flushed total of counter `name` in `trace` (0 if it never
+/// counted: zero counters are not flushed).
+fn counter_total(trace: &str, name: &str) -> u64 {
+    trace
+        .lines()
+        .map(|line| serde_json::parse(line).expect("valid JSONL"))
+        .filter(|v: &Value| {
+            v.get("type").and_then(Value::as_str) == Some("counter")
+                && v.get("name").and_then(Value::as_str) == Some(name)
+        })
+        .filter_map(|v| v.get("value").and_then(Value::as_u64))
+        .sum()
+}
+
+/// How many `name` spans `trace` holds.
+fn span_count(trace: &str, name: &str) -> usize {
+    trace
+        .lines()
+        .map(|line| serde_json::parse(line).expect("valid JSONL"))
+        .filter(|v: &Value| {
+            v.get("type").and_then(Value::as_str) == Some("span")
+                && v.get("name").and_then(Value::as_str) == Some(name)
+        })
+        .count()
+}
+
+/// Ten campaign groups (five machines × two workloads, each under two
+/// budgets), two at a time with serial cells.
+const TEN_GROUPS: &str = "\
+mode = \"matrix\"
+zoo = [\"xeon-max\", \"hbm-flat\", \"small-hbm\", \"xeon-max-quad\", \"cxl-far\"]
+workloads = [\"mg\", \"is\"]
+budgets = [\"none\", \"8\"]
+
+[campaign]
+reps = 1
+
+[execution]
+serial = true
+job_workers = 2
+";
+
+/// A matrix run fans out once: all of its campaign groups share one
+/// job pool, however many groups there are per worker.
+#[test]
+fn a_matrix_run_starts_one_pool_for_all_its_campaign_groups() {
+    let _guard = exclusive();
+    let Ok(Resolved::Matrix(m)) = CampaignSpec::parse(TEN_GROUPS).unwrap().resolve() else {
+        panic!("a matrix spec resolves to a matrix");
+    };
+    assert_eq!(m.matrix.campaigns(0..m.matrix.len()).count(), 10);
+    let (report, trace) = traced(|| run_matrix(&m.matrix, &m.config).expect("matrix run"));
+    assert_eq!(report.scenarios.len(), 20);
+    assert_eq!(counter_total(&trace, "exec.parallel.batches"), 1, "one pool per run");
+}
+
+/// `verify` re-runs a matrix exactly once: each campaign group is
+/// profiled in the main run and in one serial, uncached re-run.
+#[test]
+fn verify_re_runs_a_matrix_once() {
+    let _guard = exclusive();
+    let request = Request::from_spec(CampaignSpec::parse(TEN_GROUPS).unwrap()).unwrap();
+    let (response, trace) = traced(|| api::execute(&request).expect("verified run"));
+    let Response::Matrix(out) = response else {
+        panic!("matrix spec produced a non-matrix response");
+    };
+    assert_eq!(out.report.scenarios.len(), 20);
+    assert_eq!(span_count(&trace, "job.profile"), 20, "10 groups × (main run + one re-run)");
+}
+
+/// The daemon's `--workers` is a served job's whole width: at one
+/// worker the job runs its cells serially, whatever cell workers its
+/// spec asks for, so it starts no pool.
+#[test]
+fn a_served_job_at_one_worker_starts_no_pool() {
+    let _guard = exclusive();
+    let dir = std::env::temp_dir().join(format!("hmpt-obs-served-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = "\
+mode = \"matrix\"
+zoo = [\"xeon-max\"]
+workloads = [\"mg\"]
+budgets = [\"none\", \"16\"]
+
+[execution]
+workers = 2
+";
+    let (state, trace) = traced(|| {
+        let cfg = CoordinatorConfig { workers: 1, ..CoordinatorConfig::new(&dir) };
+        let coordinator = Coordinator::open(cfg).expect("open state dir");
+        let (job, _) = coordinator.submit("obs", 0, spec).expect("admitted");
+        coordinator.run_until_idle();
+        coordinator.status(Some(job)).expect("status").jobs[0].state
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(state, JobState::Completed);
+    assert_eq!(counter_total(&trace, "exec.parallel.batches"), 0, "no cell pool");
 }
