@@ -87,6 +87,16 @@ struct Entry {
     inserted: u64,
 }
 
+/// How [`MeasurementCache::get_or_measure`] answered one lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    /// The key was cached.
+    Hit,
+    /// The cell was measured and stored; `added` unless a racing
+    /// lookup of the same key stored it first.
+    Miss { added: bool },
+}
+
 /// A point on a cache's use-clock ([`MeasurementCache::mark`]); the
 /// cells inserted after it are [`MeasurementCache::added_since`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -120,12 +130,18 @@ impl MeasurementCache {
     }
 
     /// Look up a cell; on a miss, run `measure` and remember its result.
+    /// Also says how the lookup was answered, so a caller sharing the
+    /// cache with concurrent callers can count its own traffic.
     ///
     /// The measurement runs outside the lock, so concurrent workers never
     /// serialize on the cache. Two workers racing on the same key may
     /// both measure; both produce the identical (seeded, deterministic)
     /// outcome, so the duplicate write is harmless.
-    pub fn get_or_measure<F>(&self, key: CellKey, measure: F) -> Result<CellOutcome, TunerError>
+    pub fn get_or_measure<F>(
+        &self,
+        key: CellKey,
+        measure: F,
+    ) -> (Result<CellOutcome, TunerError>, Lookup)
     where
         F: FnOnce() -> Result<CellOutcome, TunerError>,
     {
@@ -136,14 +152,14 @@ impl MeasurementCache {
                 entry.last_used = self.tick();
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 hit.incr();
-                return entry.value.clone();
+                return (entry.value.clone(), Lookup::Hit);
             }
         }
         let outcome = measure();
         self.misses.fetch_add(1, Ordering::Relaxed);
         miss.incr();
-        self.insert(key, outcome.clone());
-        outcome
+        let added = self.store(key, outcome.clone());
+        (outcome, Lookup::Miss { added })
     }
 
     /// Peek without measuring (still counts as a use for recency).
@@ -160,15 +176,22 @@ impl MeasurementCache {
     /// imply bit-identical measurements; for the same reason an
     /// overwrite keeps the key's insertion tick.
     pub fn insert(&self, key: CellKey, value: Result<CellOutcome, TunerError>) {
+        self.store(key, value);
+    }
+
+    /// [`Self::insert`], returning whether the key is new.
+    fn store(&self, key: CellKey, value: Result<CellOutcome, TunerError>) -> bool {
         let now = self.tick();
         match self.map.lock().expect("cache poisoned").entry(key) {
             hash_map::Entry::Occupied(mut slot) => {
                 let entry = slot.get_mut();
                 entry.value = value;
                 entry.last_used = now;
+                false
             }
             hash_map::Entry::Vacant(slot) => {
                 slot.insert(Entry { value, last_used: now, inserted: now });
+                true
             }
         }
     }
@@ -273,14 +296,14 @@ mod tests {
         let cache = MeasurementCache::new();
         let mut calls = 0;
         let k = key(1, 2, 3, 4);
-        for _ in 0..3 {
-            let out = cache
-                .get_or_measure(k, || {
-                    calls += 1;
-                    cell(1.5)
-                })
-                .unwrap();
-            assert_eq!(out.time_s, 1.5);
+        for round in 0..3 {
+            let (out, lookup) = cache.get_or_measure(k, || {
+                calls += 1;
+                cell(1.5)
+            });
+            assert_eq!(out.unwrap().time_s, 1.5);
+            let want = if round == 0 { Lookup::Miss { added: true } } else { Lookup::Hit };
+            assert_eq!(lookup, want);
         }
         assert_eq!(calls, 1);
         let s = cache.stats();
@@ -291,8 +314,8 @@ mod tests {
     #[test]
     fn distinct_keys_do_not_alias() {
         let cache = MeasurementCache::new();
-        cache.get_or_measure(key(1, 0, 0, 0), || cell(1.0)).unwrap();
-        cache.get_or_measure(key(0, 1, 0, 0), || cell(2.0)).unwrap();
+        cache.get_or_measure(key(1, 0, 0, 0), || cell(1.0)).0.unwrap();
+        cache.get_or_measure(key(0, 1, 0, 0), || cell(2.0)).0.unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&key(1, 0, 0, 0)).unwrap().unwrap().time_s, 1.0);
         assert_eq!(cache.get(&key(0, 1, 0, 0)).unwrap().unwrap().time_s, 2.0);
@@ -304,7 +327,7 @@ mod tests {
         let k = key(9, 9, 9, 9);
         let mut calls = 0;
         for _ in 0..2 {
-            let r = cache.get_or_measure(k, || {
+            let (r, _) = cache.get_or_measure(k, || {
                 calls += 1;
                 Err(TunerError::EmptyWorkload)
             });
@@ -340,13 +363,13 @@ mod tests {
         assert!(cache.added_since(mark).is_empty());
 
         // Hits, peeks and overwrites of old keys add nothing…
-        cache.get_or_measure(key(1, 0, 0, 0), || unreachable!("a hit")).unwrap();
+        cache.get_or_measure(key(1, 0, 0, 0), || unreachable!("a hit")).0.unwrap();
         cache.get(&key(2, 0, 0, 0));
         cache.insert(key(2, 0, 0, 0), cell(2.0));
         assert!(cache.added_since(mark).is_empty());
 
         // …new keys do, by either insertion path, sorted by key.
-        cache.get_or_measure(key(9, 0, 0, 0), || cell(9.0)).unwrap();
+        cache.get_or_measure(key(9, 0, 0, 0), || cell(9.0)).0.unwrap();
         cache.insert(key(5, 0, 0, 0), cell(5.0));
         let added: Vec<CellKey> = cache.added_since(mark).into_iter().map(|(k, _)| k).collect();
         assert_eq!(added, vec![key(5, 0, 0, 0), key(9, 0, 0, 0)]);
@@ -360,7 +383,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for i in 0..100u64 {
-                        let out =
+                        let (out, _) =
                             cache.get_or_measure(key(i % 8, 0, 0, 0), || cell(i as f64 % 8.0));
                         // Whoever inserted first, the value is keyed by
                         // i % 8 in both key and payload.

@@ -27,10 +27,10 @@
 //! crate re-exports it as part of the fleet subsystem's public surface.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::cache::MeasurementCache;
+use crate::cache::{CacheStats, Lookup, MeasurementCache};
 use crate::campaign::CellSpec;
 use crate::error::TunerError;
 use crate::measure::CellOutcome;
@@ -173,15 +173,28 @@ impl CellExecutor for ExecutorKind {
 /// the simulation depends on — machine, spec, groups ⊕ configuration,
 /// noise ⊕ seed — a hit returns the bit-identical outcome the run
 /// would have produced.
-#[derive(Debug, Clone)]
+///
+/// The adapter counts its own lookups ([`Self::stats`]): the fleet
+/// gives each job one, so a job's cache traffic stays its own while
+/// other jobs use the same cache at the same time.
+#[derive(Debug)]
 pub struct CachingExecutor {
     inner: ExecutorKind,
     cache: Arc<MeasurementCache>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    added: AtomicU64,
 }
 
 impl CachingExecutor {
     pub fn new(inner: ExecutorKind, cache: Arc<MeasurementCache>) -> Self {
-        CachingExecutor { inner, cache }
+        CachingExecutor {
+            inner,
+            cache,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            added: AtomicU64::new(0),
+        }
     }
 
     pub fn cache(&self) -> &Arc<MeasurementCache> {
@@ -190,6 +203,16 @@ impl CachingExecutor {
 
     pub fn inner(&self) -> ExecutorKind {
         self.inner
+    }
+
+    /// The lookups of the cells this executor evaluated: its hits, its
+    /// misses, and as `entries` the keys its misses added to the cache.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.added.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -202,10 +225,18 @@ impl CellExecutor for CachingExecutor {
         self.inner.run(cells.len(), |i| {
             // The span sits inside the cache consult: a hit costs no
             // simulate span, so `exec.cell` counts actual simulations.
-            self.cache.get_or_measure(cells[i].key, || {
+            let (outcome, lookup) = self.cache.get_or_measure(cells[i].key, || {
                 let _cell = hmpt_obs::span("exec.cell");
                 measure(&cells[i])
-            })
+            });
+            match lookup {
+                Lookup::Hit => self.hits.fetch_add(1, Ordering::Relaxed),
+                Lookup::Miss { added } => {
+                    self.added.fetch_add(u64::from(added), Ordering::Relaxed);
+                    self.misses.fetch_add(1, Ordering::Relaxed)
+                }
+            };
+            outcome
         })
     }
 
@@ -215,8 +246,8 @@ impl CellExecutor for CachingExecutor {
 }
 
 /// The standard executor stack: an executor strategy, optionally
-/// wrapped in a measurement cache. The one place the cache-or-plain
-/// branch lives — the fleet builds its stack here.
+/// wrapped in a measurement cache. (The fleet builds its
+/// [`CachingExecutor`] directly, to read the job's own counts off it.)
 pub fn cell_executor(
     kind: ExecutorKind,
     cache: Option<Arc<MeasurementCache>>,
@@ -331,6 +362,13 @@ mod tests {
             assert_eq!(a.as_ref().unwrap().time_s.to_bits(), b.as_ref().unwrap().time_s.to_bits());
         }
         assert_eq!(cache.stats().hits, 4);
+        assert_eq!(exec.stats(), CacheStats { hits: 4, misses: 4, entries: 4 });
+        // A second executor over the same cache counts only its own
+        // lookups.
+        let other = CachingExecutor::new(ExecutorKind::Serial, Arc::clone(&cache));
+        other.run_cells(&cells[..2], &measure);
+        assert_eq!(other.stats(), CacheStats { hits: 2, misses: 0, entries: 0 });
+        assert_eq!(exec.stats().hits, 4);
         assert!(exec.describe().contains("cache"));
         assert_eq!(exec.inner(), ExecutorKind::Serial);
     }

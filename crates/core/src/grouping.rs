@@ -172,9 +172,7 @@ fn finalize(mut groups: Vec<AllocationGroup>) -> Vec<AllocationGroup> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmpt_perf::attr::Attribution;
-    use hmpt_perf::ibs::MemSample;
-    use hmpt_sim::pool::PoolKind;
+    use hmpt_perf::attr::{Attribution, SiteTally};
 
     /// Stats assigning each allocation i a density proportional to
     /// `weights[i]`.
@@ -182,15 +180,8 @@ mod tests {
         let mut attr = Attribution::default();
         for (i, &w) in weights.iter().enumerate() {
             let site = spec.allocations[i].site();
-            let samples = (0..w)
-                .map(|k| MemSample {
-                    addr: k as u64,
-                    latency_ns: 95.0,
-                    is_write: false,
-                    pool: PoolKind::Ddr,
-                })
-                .collect();
-            attr.by_site.insert(site, samples);
+            let tally = SiteTally { samples: w, latency_sum_ns: w as f64 * 95.0, writes: 0 };
+            attr.by_site.insert(site, tally);
         }
         AccessStats::from_attribution(&attr)
     }

@@ -208,8 +208,9 @@ impl From<MergeError> for ApiError {
 pub fn execute(request: &Request) -> Result<Response, ApiError> {
     match request {
         Request::Batch(spec) => {
-            let fingerprint = spec.fingerprint()?.to_string();
-            match spec.resolve()? {
+            let resolved = spec.resolve()?;
+            let fingerprint = resolved.fingerprint().to_string();
+            match resolved {
                 Resolved::Batch(resolved) => {
                     execute_batch(resolved, fingerprint).map(Response::Batch)
                 }
@@ -219,8 +220,9 @@ pub fn execute(request: &Request) -> Result<Response, ApiError> {
             }
         }
         Request::Matrix(spec) => {
-            let fingerprint = spec.fingerprint()?.to_string();
-            match spec.resolve()? {
+            let resolved = spec.resolve()?;
+            let fingerprint = resolved.fingerprint().to_string();
+            match resolved {
                 Resolved::Matrix(resolved) => execute_matrix(resolved, fingerprint),
                 Resolved::Batch(_) => {
                     Err(ApiError::BadRequest("Request::Matrix carries a batch-mode spec".into()))

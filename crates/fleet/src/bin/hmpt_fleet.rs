@@ -85,8 +85,11 @@ fn usage() -> ! {
          \x20      hmpt-fleet cancel JOB --connect ADDR\n\
          \x20      hmpt-fleet drain --connect ADDR\n\
          options:\n\
-         \x20 --workers N     parallel worker count (default: available parallelism)\n\
-         \x20 --serial        use the serial executor\n\
+         \x20 --job-workers N jobs/campaign groups run at once, each one's cells\n\
+         \x20                 serially (default 0 = one per CPU)\n\
+         \x20 --serial        run a lone job's cells serially (the default)\n\
+         \x20 --workers N     run a lone job's cells on a pool of N (0 = one per\n\
+         \x20                 CPU); a lone job is a one-job run or --job-workers 1\n\
          \x20 --reps N        runs per configuration (default 3; --runs is an alias)\n\
          \x20 --ci-target X   adaptive repetitions: retire a configuration once its\n\
          \x20                 95% CI half-width falls to X of the mean (e.g. 0.02)\n\
@@ -100,7 +103,6 @@ fn usage() -> ! {
          \x20 --no-compare    skip the serial-vs-parallel comparison pass\n\
          \x20 --no-online     skip the online-tuner verification pass\n\
          \x20 --json PATH     write the JSON report to PATH (default: stdout)\n\
-         \x20 --job-workers N concurrent jobs/campaigns (default 1; 0 = auto)\n\
          \x20 --cache-file P  persistent measurement cache: load the snapshot on\n\
          \x20                 start (if present), save it back on finish unless\n\
          \x20                 the run left the snapshot's content unchanged\n\
@@ -569,12 +571,15 @@ fn describe(spec: &CampaignSpec) {
     match spec.resolve() {
         Err(e) => fail(e),
         Ok(Resolved::Batch(b)) => {
+            let (pool, cells) = b.fleet.pool(b.jobs.len());
             hmpt_obs::info(
                 "fleet.spec",
                 format!(
-                    "hmpt-fleet: batch of {} job(s) on {} (reps {}, seed {}, cache {})",
+                    "hmpt-fleet: batch of {} job(s) ({} job workers, {} cells; reps {}, \
+                     seed {}, cache {})",
                     b.jobs.len(),
-                    b.fleet.executor.label(),
+                    pool.workers(),
+                    cells.label(),
                     b.fleet.rep_policy.label(b.campaign.runs_per_config),
                     b.campaign.base_seed,
                     if b.fleet.cache_enabled { "on" } else { "off" },
@@ -805,7 +810,9 @@ struct JobRow {
 #[derive(Debug, Clone, Serialize)]
 struct Report {
     machine: String,
+    /// Width of the job pool the batch ran on.
     workers: usize,
+    /// The executor each job's cells ran on.
     executor: String,
     runs_per_config: usize,
     rep_policy: String,
@@ -899,10 +906,11 @@ fn render_batch(
         ),
     );
 
+    let (pool, cells) = resolved.fleet.pool(resolved.jobs.len());
     let report = Report {
         machine: spec.machine.clone().unwrap_or_else(|| "xeon_max_9468".to_string()),
-        workers: resolved.fleet.executor.workers(),
-        executor: resolved.fleet.executor.label(),
+        workers: pool.workers(),
+        executor: cells.label(),
         runs_per_config: resolved.campaign.runs_per_config,
         rep_policy: resolved.fleet.rep_policy.label(resolved.campaign.runs_per_config),
         cache_enabled: resolved.fleet.cache_enabled,

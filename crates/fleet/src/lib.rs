@@ -10,8 +10,9 @@
 //!   campaign is an independent simulated run with a derived seed, so a
 //!   work-stealing pool of std threads evaluates them concurrently and
 //!   reassembles results in canonical order — **bit-identical** to
-//!   serial execution. The same pool runs a batch's concurrent jobs,
-//!   whose cells then run serially: one level of fan-out per run.
+//!   serial execution. By default that pool runs whole jobs, one per
+//!   CPU at a time, each job's cells serially: one level of fan-out per
+//!   run.
 //! * **[`MeasurementCache`]** (re-exported from `hmpt_core::cache`): a
 //!   content-addressed cell cache keyed by fingerprints of (machine,
 //!   workload spec, placement plan, noise ⊕ seed). Identical cells
@@ -28,11 +29,12 @@
 //!   parallel, and cached execution.
 //! * **[`Fleet`]**: the batch front end. It accepts tuning jobs
 //!   (workload × machine × campaign settings) and runs them through the
-//!   cache in one pass — concurrently across jobs when
-//!   [`FleetConfig::job_workers`] allows, each job's cells serially;
-//!   otherwise one job at a time on the configured executor — then
-//!   returns per-job [`hmpt_core::driver::Analysis`] results in job
-//!   order, with cache-hit, early-stop, and throughput statistics.
+//!   cache in one pass — concurrently across jobs, as many at once as
+//!   [`FleetConfig::job_workers`] allows (one per CPU by default), each
+//!   job's cells serially; with one worker, one job at a time on the
+//!   configured executor — then returns per-job
+//!   [`hmpt_core::driver::Analysis`] results in job order, each with
+//!   its own cache counts, plus early-stop and throughput statistics.
 //! * **Scenario matrices** ([`matrix`], over
 //!   [`hmpt_core::scenario::ScenarioMatrix`] and the machine zoo
 //!   [`hmpt_sim::zoo`]): lazily enumerated cross-platform campaigns —

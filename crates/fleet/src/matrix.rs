@@ -49,9 +49,11 @@ use crate::service::{Fleet, FleetConfig, TuningJob};
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixConfig {
     /// Cell-level executor of each campaign while one campaign group
-    /// runs at a time; concurrent groups run their cells serially.
+    /// runs at a time (default: serial); concurrent groups run their
+    /// cells serially.
     pub executor: ExecutorKind,
-    /// Concurrent campaign groups (`1` = sequential, `0` = auto-size).
+    /// Concurrent campaign groups (default `0` = one per available CPU,
+    /// resolved at run time; `1` = sequential).
     pub job_workers: usize,
     /// Consult the shared content-addressed cache per cell.
     pub cache_enabled: bool,
@@ -64,15 +66,18 @@ pub struct MatrixConfig {
     pub fast_path: bool,
 }
 
+/// The fleet's defaults: one campaign group per CPU at a time, each
+/// group's cells serially, cached.
 impl Default for MatrixConfig {
     fn default() -> Self {
+        let fleet = FleetConfig::default();
         MatrixConfig {
-            executor: ExecutorKind::parallel(),
-            job_workers: 1,
-            cache_enabled: true,
-            grouping: GroupingConfig::default(),
-            profile_seed: 7,
-            fast_path: true,
+            executor: fleet.executor,
+            job_workers: fleet.job_workers,
+            cache_enabled: fleet.cache_enabled,
+            grouping: fleet.grouping,
+            profile_seed: fleet.profile_seed,
+            fast_path: fleet.fast_path,
         }
     }
 }
@@ -176,7 +181,7 @@ pub(crate) fn run_range(
     let t0 = Instant::now();
     let before = fleet.cache().stats();
     let groups: Vec<Range<usize>> = matrix.campaigns(range.clone()).collect();
-    let (pool, cells) = fleet.pool(groups.len());
+    let (pool, cells) = fleet.config().pool(groups.len());
     let group_rows = pool.run(groups.len(), |g| -> Result<Vec<ScenarioRow>, TunerError> {
         let group = groups[g].clone();
         let s = matrix.scenario(group.start);

@@ -1,11 +1,12 @@
 //! The fleet front end: batches of tuning jobs over a shared pool and
 //! cache.
 //!
-//! A run fans out once: `Fleet::pool` sizes one job pool for all of
-//! a run's jobs — a batch's jobs, or a matrix's campaign groups — and
-//! [`Fleet::run`] (like the matrix path) runs them in a single
-//! `ExecutorKind::run` pass. Jobs that run at once run their cells
-//! serially; a lone job runs them on [`FleetConfig::executor`].
+//! A run fans out once, over jobs: [`FleetConfig::pool`] sizes one job
+//! pool for all of a run's jobs — a batch's jobs, or a matrix's
+//! campaign groups; one worker per CPU by default — and [`Fleet::run`]
+//! (like the matrix path) runs them in a single `ExecutorKind::run`
+//! pass. Jobs that run at once run their cells serially; a lone job
+//! runs them on [`FleetConfig::executor`] (serial by default).
 //!
 //! Each job runs the full Fig 6 pipeline (profile → group → measure →
 //! analyze). The measurement campaign is planned as a
@@ -27,7 +28,7 @@ use hmpt_core::cache::Mark;
 use hmpt_core::campaign::{CampaignPlan, RepPolicy};
 use hmpt_core::driver::{Analysis, Driver};
 use hmpt_core::error::TunerError;
-use hmpt_core::exec::{available_workers, cell_executor, CellExecutor, ExecutorKind};
+use hmpt_core::exec::{available_workers, CachingExecutor, CellExecutor, ExecutorKind};
 use hmpt_core::grouping::{group, GroupingConfig};
 use hmpt_core::measure::CampaignConfig;
 use hmpt_core::online::{self, OnlineConfig, OnlineResult};
@@ -40,9 +41,9 @@ use crate::cache::{CacheStats, MeasurementCache};
 /// Fleet-wide settings.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// How campaign cells are executed while one job runs at a time
-    /// (default: auto-sized parallel). Concurrent jobs run their cells
-    /// serially.
+    /// How a lone job's campaign cells are executed (default: serial).
+    /// Used only while one job runs at a time — a one-job run, or
+    /// `job_workers` 1; concurrent jobs run their cells serially.
     pub executor: ExecutorKind,
     /// How many repetitions each configuration gets (default: the
     /// campaign's fixed `n`; [`RepPolicy::ConfidenceTarget`] stops
@@ -62,14 +63,15 @@ pub struct FleetConfig {
     /// Consult the shared content-addressed cache per cell (`false`
     /// re-simulates everything — useful for timing baselines).
     pub cache_enabled: bool,
-    /// How many *jobs* run concurrently. `1` (the default) runs jobs
-    /// one at a time, each on [`Self::executor`]; `0` auto-sizes to the
-    /// host. Above one, all of a run's jobs share one pool and run their
-    /// cells serially, so a run never nests a cell pool under the job
-    /// pool. Reports are always delivered in job-index order, and
-    /// results are bit-identical to sequential execution; only per-job
-    /// cache *attribution* becomes approximate when concurrent jobs race
-    /// on shared cells.
+    /// How many *jobs* run concurrently: `0` (the default) is one per
+    /// available CPU, resolved at run time ([`Self::pool`]); `1` runs
+    /// jobs one at a time, each on [`Self::executor`]. Above one, all of
+    /// a run's jobs share one pool and run their cells serially, so a
+    /// run never nests a cell pool under the job pool. Reports are
+    /// always delivered in job-index order, results are bit-identical to
+    /// sequential execution, and each job's cache counts are its own
+    /// lookups at any width. Which job pays the miss for a cell that
+    /// two concurrent jobs share depends on their timing.
     pub job_workers: usize,
     /// On-disk cache snapshot ([`hmpt_core::store`]): loaded into the
     /// shared cache when the fleet is built (a missing or unusable
@@ -97,16 +99,35 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            executor: ExecutorKind::parallel(),
+            executor: ExecutorKind::Serial,
             rep_policy: RepPolicy::Fixed,
             grouping: GroupingConfig::default(),
             profile_seed: 7,
             online_check: true,
             cache_enabled: true,
-            job_workers: 1,
+            job_workers: 0,
             cache_path: None,
             cache_max_records: None,
             fast_path: true,
+        }
+    }
+}
+
+impl FleetConfig {
+    /// The one fan-out of a run of `jobs` jobs: the job pool and the
+    /// executor of each job's cells. The pool is `job_workers` wide (0
+    /// = one per available CPU), capped at `jobs`. Jobs that run at
+    /// once run their cells serially, so no cell pool nests under the
+    /// job pool; a lone job (one job, or `job_workers` 1) runs its cells
+    /// on [`Self::executor`].
+    pub fn pool(&self, jobs: usize) -> (ExecutorKind, ExecutorKind) {
+        let workers = match self.job_workers {
+            0 => available_workers(),
+            n => n,
+        };
+        match workers.min(jobs) {
+            0 | 1 => (ExecutorKind::Serial, self.executor),
+            workers => (ExecutorKind::Parallel { workers }, ExecutorKind::Serial),
         }
     }
 }
@@ -168,7 +189,8 @@ pub struct JobReport {
     /// Online-tuner verification (present when
     /// [`FleetConfig::online_check`] is set).
     pub online: Option<OnlineResult>,
-    /// Cache traffic attributable to this job.
+    /// This job's own cache lookups: its hits and misses, and as
+    /// `entries` the cells it added.
     pub cache: CacheStats,
     pub wall_s: f64,
 }
@@ -292,19 +314,13 @@ impl Fleet {
         saved.map(Some)
     }
 
-    /// The fleet's executor stack: a cell-level pool, wrapped in the
-    /// shared cache unless caching is disabled.
-    fn exec_stack(&self, executor: ExecutorKind) -> Box<dyn CellExecutor> {
-        cell_executor(executor, self.cfg.cache_enabled.then(|| Arc::clone(&self.cache)))
-    }
-
     /// Run one job through the shared pool and cache.
     pub fn run_job(&self, job: &TuningJob) -> Result<JobReport, TunerError> {
         self.run_job_with(job, self.cfg.executor)
     }
 
     /// [`Self::run_job`] with an explicit cell-level executor — the one
-    /// `Self::pool` picks for the run.
+    /// [`FleetConfig::pool`] picks for the run.
     pub(crate) fn run_job_with(
         &self,
         job: &TuningJob,
@@ -314,7 +330,6 @@ impl Fleet {
             job.label.clone().unwrap_or_else(|| job.spec.name.clone())
         });
         let t0 = Instant::now();
-        let before = self.cache.stats();
 
         let driver = Driver::new(job.machine.clone())
             .with_grouping(self.cfg.grouping)
@@ -337,16 +352,23 @@ impl Fleet {
                 .with_policy(job.rep_policy.unwrap_or(self.cfg.rep_policy))
                 .with_fast_path(self.cfg.fast_path)
         };
-        let exec = self.exec_stack(executor);
+        // The job's own caching layer over the shared cache: it counts
+        // this job's lookups, whatever other jobs run beside it.
+        let cached =
+            self.cfg.cache_enabled.then(|| CachingExecutor::new(executor, Arc::clone(&self.cache)));
+        let exec: &dyn CellExecutor = match &cached {
+            Some(cached) => cached,
+            None => &executor,
+        };
         let campaign = {
             let _s = hmpt_obs::span("job.campaign");
-            plan.execute(&*exec)?
+            plan.execute(exec)?
         };
 
         let online = if self.cfg.online_check {
             let _s = hmpt_obs::span("job.online");
             let ocfg = OnlineConfig { campaign: job.campaign, executor, ..OnlineConfig::default() };
-            Some(online::tune_plan(&plan, &ocfg, &*exec)?)
+            Some(online::tune_plan(&plan, &ocfg, exec)?)
         } else {
             None
         };
@@ -359,25 +381,9 @@ impl Fleet {
         Ok(JobReport {
             analysis,
             online,
-            cache: self.cache.stats().since(&before),
+            cache: cached.as_ref().map_or_else(CacheStats::default, CachingExecutor::stats),
             wall_s: t0.elapsed().as_secs_f64(),
         })
-    }
-
-    /// The one fan-out of a run of `jobs` jobs: the job pool and the
-    /// executor of each job's cells. Jobs that run at once run their
-    /// cells serially, so no cell pool nests under the job pool; a lone
-    /// job (one job, or `job_workers` 1) runs its cells on
-    /// [`FleetConfig::executor`].
-    pub(crate) fn pool(&self, jobs: usize) -> (ExecutorKind, ExecutorKind) {
-        let workers = match self.cfg.job_workers {
-            0 => available_workers(),
-            n => n,
-        };
-        match workers.min(jobs) {
-            0 | 1 => (ExecutorKind::Serial, self.cfg.executor),
-            workers => (ExecutorKind::Parallel { workers }, ExecutorKind::Serial),
-        }
     }
 
     /// Publish the shared cache's residency as the `cache.entries`
@@ -390,19 +396,19 @@ impl Fleet {
         }
     }
 
-    /// Run a batch: every job in one pass over one job pool (sized by
-    /// [`FleetConfig::job_workers`]), reports in job-index order. With
-    /// one worker the jobs run in order, each on
-    /// [`FleetConfig::executor`]. Every result is bit-identical to
-    /// sequential execution — cells are seed-deterministic and a racing
-    /// cache insert stores the identical outcome. On an error, the
+    /// Run a batch: every job in one pass over one job pool
+    /// ([`FleetConfig::pool`]), reports in job-index order. With one
+    /// worker the jobs run in order, each on [`FleetConfig::executor`].
+    /// Every result is bit-identical to sequential execution — cells
+    /// are seed-deterministic and a racing cache insert stores the
+    /// identical outcome. On an error, the
     /// first failing job in index order wins. A configured snapshot is
     /// saved when the batch ends ([`Self::persist`]).
     pub fn run(&self, jobs: &[TuningJob]) -> Result<FleetReport, TunerError> {
         let _batch_span = hmpt_obs::span("fleet.batch");
         let t0 = Instant::now();
         let before = self.cache.stats();
-        let (pool, cells) = self.pool(jobs.len());
+        let (pool, cells) = self.cfg.pool(jobs.len());
         let reports = pool
             .run(jobs.len(), |i| self.run_job_with(&jobs[i], cells))
             .into_iter()
@@ -542,7 +548,8 @@ mod tests {
             TuningJob::new(hmpt_workloads::npb::is::workload()),
             TuningJob::new(hmpt_workloads::npb::sp::workload()),
         ];
-        let sequential = Fleet::new(FleetConfig { online_check: false, ..Default::default() });
+        let sequential =
+            Fleet::new(FleetConfig { online_check: false, job_workers: 1, ..Default::default() });
         let parallel =
             Fleet::new(FleetConfig { online_check: false, job_workers: 4, ..Default::default() });
         let s = sequential.run(&jobs).unwrap();
@@ -665,7 +672,9 @@ mod tests {
 
     #[test]
     fn batch_streams_in_order_and_counts_stats() {
-        let fleet = Fleet::new(FleetConfig::default());
+        // One job at a time, so the duplicated job reuses the first
+        // one's cells instead of racing it.
+        let fleet = Fleet::new(FleetConfig { job_workers: 1, ..FleetConfig::default() });
         let jobs = vec![mg_job(), TuningJob::new(hmpt_workloads::npb::is::workload()), mg_job()];
         let report = fleet.run(&jobs).unwrap();
         let seen: Vec<_> = report.reports.iter().map(|r| r.analysis.workload.clone()).collect();

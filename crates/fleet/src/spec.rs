@@ -29,9 +29,9 @@
 //! seed = 3                      # base RNG seed
 //!
 //! [execution]
-//! serial      = false           # force the serial cell executor
-//! workers     = 0               # cell workers (0 = auto)
-//! job_workers = 1               # concurrent jobs/campaigns (0 = auto)
+//! job_workers = 0               # jobs/campaign groups at once (0 = one per CPU)
+//! serial      = true            # a lone job's cells: serial (the default)…
+//! workers     = 0               # …or on a cell pool this wide (0 = one per CPU)
 //! compare     = true            # batch: serial-vs-parallel timing pass
 //! online      = true            # batch: online-tuner verification
 //! verify      = true            # matrix: serial-uncached re-run
@@ -50,7 +50,12 @@
 //! ```
 //!
 //! An omitted field means what the CLI default means; unknown keys are
-//! rejected (a typo must not silently change a campaign). Specs read
+//! rejected (a typo must not silently change a campaign). With no
+//! `[execution]` table a run fans out over jobs (campaign groups in a
+//! matrix), one per CPU at a time, each job's cells serially: the
+//! [`FleetConfig`] defaults. An explicit `serial = false` or a
+//! `workers` key puts a lone job's cells on a cell pool instead — the
+//! cells of a job that runs beside others stay serial. Specs read
 //! and write both the TOML subset ([`crate::toml`]) and JSON, chosen by
 //! file extension.
 //!
@@ -131,14 +136,17 @@ pub struct CampaignSection {
 /// `[execution]`: how cells are scheduled — never *what* they compute.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionSection {
-    /// Force the serial cell executor (default false).
+    /// Run a lone job's cells serially (the default). `false` puts them
+    /// on the cell pool.
     pub serial: Option<bool>,
-    /// Parallel cell workers (0 = auto; default 0). Used only while one
-    /// job runs at a time: concurrent jobs run their cells serially.
+    /// Put a lone job's cells on a cell pool this wide (0 = one per
+    /// CPU). Used only while one job runs at a time: concurrent jobs
+    /// run their cells serially.
     pub workers: Option<usize>,
-    /// Concurrent jobs/campaigns (0 = auto; default 1). A served job
-    /// ignores `serial`, `workers` and this: it runs the daemon's
-    /// `--workers` campaign groups at once, each group's cells serially.
+    /// Concurrent jobs/campaign groups (default 0 = one per CPU). A
+    /// served job ignores `serial`, `workers` and this: it runs the
+    /// daemon's `--workers` campaign groups at once, each group's cells
+    /// serially.
     pub job_workers: Option<usize>,
     /// Batch: run the serial-vs-parallel comparison pass (default true).
     pub compare: Option<bool>,
@@ -251,6 +259,45 @@ pub struct ResolvedMatrix {
     pub shard: Option<ShardSpec>,
 }
 
+impl Resolved {
+    /// Content fingerprint of everything that determines result bits —
+    /// and nothing that must not (executor/worker/caching choices, the
+    /// shard range). For a matrix-mode spec this equals the
+    /// `matrix_fingerprint` every `ShardReport` of the spec stamps, so
+    /// a merge can validate shard reports against the spec file.
+    pub fn fingerprint(&self) -> Fingerprint {
+        match self {
+            Resolved::Matrix(m) => m.config.matrix_fingerprint(&m.matrix),
+            Resolved::Batch(b) => {
+                let mut h = StableHasher::new();
+                h.write_str("hmpt-campaign-spec-batch-v1");
+                h.write_u64(b.jobs.len() as u64);
+                for job in &b.jobs {
+                    h.write_u64(job.machine.fingerprint().raw());
+                    h.write_u64(job.spec.fingerprint().raw());
+                }
+                h.write_u64(b.campaign.runs_per_config as u64);
+                h.write_u64(b.campaign.base_seed);
+                h.write_f64(b.campaign.noise.cv);
+                match b.fleet.rep_policy {
+                    RepPolicy::Fixed => {
+                        h.write_u8(0);
+                    }
+                    RepPolicy::ConfidenceTarget { min_reps, max_reps, rel_half_width } => {
+                        h.write_u8(1)
+                            .write_u64(min_reps as u64)
+                            .write_u64(max_reps as u64)
+                            .write_f64(rel_half_width);
+                    }
+                }
+                h.write_u64(Fingerprint::of(&b.fleet.grouping).raw());
+                h.write_u64(b.fleet.profile_seed);
+                Fingerprint::from_raw(h.finish())
+            }
+        }
+    }
+}
+
 impl CampaignSpec {
     // ---- reading and writing -------------------------------------
 
@@ -345,9 +392,10 @@ impl CampaignSpec {
             campaign.base_seed = seed;
         }
 
+        let defaults = FleetConfig::default();
         let exec = self.execution.clone().unwrap_or_default();
         let cache = self.cache.clone().unwrap_or_default();
-        let cache_enabled = cache.enabled.unwrap_or(true);
+        let cache_enabled = cache.enabled.unwrap_or(defaults.cache_enabled);
         if !cache_enabled && cache.file.is_some() {
             return Err(invalid("cache.file needs the cache enabled (drop `enabled = false`)"));
         }
@@ -356,15 +404,19 @@ impl CampaignSpec {
                 "cache.max_records needs the cache enabled (drop `enabled = false`)",
             ));
         }
-        let serial = exec.serial.unwrap_or(false);
-        let workers = exec.workers.unwrap_or(0);
-        if serial && exec.workers.is_some_and(|w| w > 1) {
+        if exec.serial == Some(true) && exec.workers.is_some_and(|w| w > 1) {
             return Err(invalid("execution.serial conflicts with execution.workers > 1"));
         }
-        let executor =
-            if serial { ExecutorKind::Serial } else { ExecutorKind::Parallel { workers } };
-        let job_workers = exec.job_workers.unwrap_or(1);
-        let fast_path = exec.fast_path.unwrap_or(true);
+        // An explicit `serial = false` or `workers` selects the cell pool.
+        let executor = match (exec.serial, exec.workers) {
+            (Some(true), _) => ExecutorKind::Serial,
+            (Some(false), workers) | (None, workers @ Some(_)) => {
+                ExecutorKind::Parallel { workers: workers.unwrap_or(0) }
+            }
+            (None, None) => defaults.executor,
+        };
+        let job_workers = exec.job_workers.unwrap_or(defaults.job_workers);
+        let fast_path = exec.fast_path.unwrap_or(defaults.fast_path);
 
         let policies = match &self.policies {
             None => Vec::new(),
@@ -413,13 +465,13 @@ impl CampaignSpec {
                 let fleet = FleetConfig {
                     executor,
                     rep_policy,
-                    online_check: exec.online.unwrap_or(true),
+                    online_check: exec.online.unwrap_or(defaults.online_check),
                     cache_enabled,
                     job_workers,
                     cache_path: cache.file.as_ref().map(PathBuf::from),
                     cache_max_records: cache.max_records,
                     fast_path,
-                    ..FleetConfig::default()
+                    ..defaults
                 };
                 Ok(Resolved::Batch(ResolvedBatch {
                     jobs,
@@ -482,41 +534,11 @@ impl CampaignSpec {
         }
     }
 
-    /// Content fingerprint of everything that determines result bits —
-    /// and nothing that must not (executor/worker/caching choices, the
-    /// shard range). For a matrix-mode spec this equals the
-    /// `matrix_fingerprint` every `ShardReport` of the spec stamps, so
-    /// a merge can validate shard reports against the spec file.
+    /// The fingerprint of the campaign this spec denotes:
+    /// [`Resolved::fingerprint`] of its resolution. A caller that also
+    /// runs the spec resolves it once and asks the resolved value.
     pub fn fingerprint(&self) -> Result<Fingerprint, SpecError> {
-        match self.resolve()? {
-            Resolved::Matrix(m) => Ok(m.config.matrix_fingerprint(&m.matrix)),
-            Resolved::Batch(b) => {
-                let mut h = StableHasher::new();
-                h.write_str("hmpt-campaign-spec-batch-v1");
-                h.write_u64(b.jobs.len() as u64);
-                for job in &b.jobs {
-                    h.write_u64(job.machine.fingerprint().raw());
-                    h.write_u64(job.spec.fingerprint().raw());
-                }
-                h.write_u64(b.campaign.runs_per_config as u64);
-                h.write_u64(b.campaign.base_seed);
-                h.write_f64(b.campaign.noise.cv);
-                match b.fleet.rep_policy {
-                    RepPolicy::Fixed => {
-                        h.write_u8(0);
-                    }
-                    RepPolicy::ConfidenceTarget { min_reps, max_reps, rel_half_width } => {
-                        h.write_u8(1)
-                            .write_u64(min_reps as u64)
-                            .write_u64(max_reps as u64)
-                            .write_f64(rel_half_width);
-                    }
-                }
-                h.write_u64(Fingerprint::of(&b.fleet.grouping).raw());
-                h.write_u64(b.fleet.profile_seed);
-                Ok(Fingerprint::from_raw(h.finish()))
-            }
-        }
+        Ok(self.resolve()?.fingerprint())
     }
 
     fn resolved_workloads(&self) -> Result<Vec<hmpt_workloads::model::WorkloadSpec>, SpecError> {
@@ -658,6 +680,35 @@ mod tests {
             }
             Resolved::Batch(_) => panic!("mode = matrix"),
         }
+    }
+
+    #[test]
+    fn execution_defaults_fan_out_over_jobs_with_serial_cells() {
+        let resolve = |doc: &str| CampaignSpec::parse(doc).unwrap().resolve().unwrap();
+        let executor_of = |resolved: Resolved| match resolved {
+            Resolved::Batch(b) => (b.fleet.job_workers, b.fleet.executor),
+            Resolved::Matrix(m) => (m.config.job_workers, m.config.executor),
+        };
+        // No `[execution]` table: one job per CPU at a time, serial cells.
+        for doc in ["", "mode = \"matrix\"\n"] {
+            assert_eq!(executor_of(resolve(doc)), (0, ExecutorKind::Serial), "{doc:?}");
+        }
+        // An explicit `serial = false` or `workers` key still selects
+        // the cell pool for a lone job.
+        for (doc, executor) in [
+            ("[execution]\nserial = false\n", ExecutorKind::parallel()),
+            ("[execution]\nworkers = 4\n", ExecutorKind::Parallel { workers: 4 }),
+            ("[execution]\nserial = false\nworkers = 4\n", ExecutorKind::Parallel { workers: 4 }),
+            (
+                "mode = \"matrix\"\n[execution]\nworkers = 4\n",
+                ExecutorKind::Parallel { workers: 4 },
+            ),
+            ("[execution]\nserial = true\n", ExecutorKind::Serial),
+            ("[execution]\njob_workers = 1\n", ExecutorKind::Serial),
+        ] {
+            assert_eq!(executor_of(resolve(doc)).1, executor, "{doc:?}");
+        }
+        assert_eq!(executor_of(resolve("[execution]\njob_workers = 1\n")).0, 1);
     }
 
     #[test]

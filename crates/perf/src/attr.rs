@@ -1,4 +1,8 @@
 //! Sample → allocation attribution through the registry.
+//!
+//! Attribution is streamed: each sample is charged to its site the
+//! moment it is drawn and only the per-site running totals are kept
+//! ([`SiteTally`]), so a profiling run never holds its samples.
 
 use std::collections::HashMap;
 
@@ -7,39 +11,45 @@ use hmpt_alloc::site::SiteId;
 
 use crate::ibs::MemSample;
 
-/// Result of attributing a batch of samples.
+/// Running totals of the samples charged to one site — everything
+/// [`AccessStats`](crate::stats::AccessStats) reduces.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SiteTally {
+    pub samples: usize,
+    /// Sum of the reported latencies, ns, added in sample order.
+    pub latency_sum_ns: f64,
+    /// Samples that are writes.
+    pub writes: usize,
+}
+
+/// Per-site totals of the samples attributed so far.
 #[derive(Debug, Clone, Default)]
 pub struct Attribution {
-    /// Samples charged to each site.
-    pub by_site: HashMap<SiteId, Vec<MemSample>>,
+    pub by_site: HashMap<SiteId, SiteTally>,
     /// Samples whose address matched no live allocation (skid past the
     /// end, freed memory, stack/code addresses on real hardware).
     pub unattributed: usize,
 }
 
 impl Attribution {
-    /// Total attributed samples.
-    pub fn attributed(&self) -> usize {
-        self.by_site.values().map(Vec::len).sum()
-    }
-
-    /// Sample count per site.
-    pub fn counts(&self) -> HashMap<SiteId, usize> {
-        self.by_site.iter().map(|(k, v)| (*k, v.len())).collect()
-    }
-}
-
-/// Attribute raw samples to allocation sites using the registry's live
-/// address map.
-pub fn attribute(samples: &[MemSample], registry: &Registry) -> Attribution {
-    let mut out = Attribution::default();
-    for s in samples {
-        match registry.lookup(s.addr) {
-            Some(rec) => out.by_site.entry(rec.site).or_default().push(*s),
-            None => out.unattributed += 1,
+    /// Charge one sample to the live allocation its address falls in,
+    /// using the registry's live address map.
+    pub fn record(&mut self, sample: MemSample, registry: &Registry) {
+        match registry.lookup(sample.addr) {
+            Some(rec) => {
+                let tally = self.by_site.entry(rec.site).or_default();
+                tally.samples += 1;
+                tally.latency_sum_ns += sample.latency_ns;
+                tally.writes += usize::from(sample.is_write);
+            }
+            None => self.unattributed += 1,
         }
     }
-    out
+
+    /// Total attributed samples.
+    pub fn attributed(&self) -> usize {
+        self.by_site.values().map(|t| t.samples).sum()
+    }
 }
 
 #[cfg(test)]
@@ -52,8 +62,16 @@ mod tests {
     use hmpt_sim::pool::PoolKind;
     use hmpt_sim::units::mib;
 
-    fn sample(addr: u64) -> MemSample {
-        MemSample { addr, latency_ns: 95.0, is_write: false, pool: PoolKind::Ddr }
+    fn sample(addr: u64, latency_ns: f64, is_write: bool) -> MemSample {
+        MemSample { addr, latency_ns, is_write, pool: PoolKind::Ddr }
+    }
+
+    fn attribute(samples: &[MemSample], registry: &Registry) -> Attribution {
+        let mut attr = Attribution::default();
+        for s in samples {
+            attr.record(*s, registry);
+        }
+        attr
     }
 
     #[test]
@@ -66,17 +84,22 @@ mod tests {
         let b = shim.malloc(&tb, mib(64)).unwrap();
 
         let samples = vec![
-            sample(a.addr()),
-            sample(a.addr() + mib(1)),
-            sample(b.addr() + 17),
-            sample(0xdead_beef), // nowhere
+            sample(a.addr(), 90.0, false),
+            sample(a.addr() + mib(1), 100.0, true),
+            sample(b.addr() + 17, 95.0, false),
+            sample(0xdead_beef, 95.0, true), // nowhere
         ];
         let attr = attribute(&samples, shim.registry());
         assert_eq!(attr.attributed(), 3);
         assert_eq!(attr.unattributed, 1);
-        assert_eq!(attr.by_site[&ta.site_id()].len(), 2);
-        assert_eq!(attr.by_site[&tb.site_id()].len(), 1);
-        assert_eq!(attr.counts()[&ta.site_id()], 2);
+        assert_eq!(
+            attr.by_site[&ta.site_id()],
+            SiteTally { samples: 2, latency_sum_ns: 190.0, writes: 1 }
+        );
+        assert_eq!(
+            attr.by_site[&tb.site_id()],
+            SiteTally { samples: 1, latency_sum_ns: 95.0, writes: 0 }
+        );
     }
 
     #[test]
@@ -87,7 +110,7 @@ mod tests {
         let a = shim.malloc(&t, mib(8)).unwrap();
         let addr = a.addr();
         shim.free(a.id).unwrap();
-        let attr = attribute(&[sample(addr)], shim.registry());
+        let attr = attribute(&[sample(addr, 95.0, false)], shim.registry());
         assert_eq!(attr.attributed(), 0);
         assert_eq!(attr.unattributed, 1);
     }

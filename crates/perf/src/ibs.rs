@@ -96,7 +96,9 @@ impl<R: Rng> Sampler<R> {
     }
 
     /// Sample one traffic stream of `bytes` bytes against the given
-    /// backing extents. `idle_latency_ns` is the serving pool's idle
+    /// backing extents, handing each sample to `sink` as it is drawn:
+    /// nothing is buffered, so a profiling run's memory does not grow
+    /// with its traffic. `idle_latency_of` is the serving pool's idle
     /// latency (per extent, since a split allocation spans pools).
     pub fn sample_stream(
         &mut self,
@@ -104,13 +106,13 @@ impl<R: Rng> Sampler<R> {
         bytes: Bytes,
         dir: Direction,
         idle_latency_of: impl Fn(PoolKind) -> f64,
-    ) -> Vec<MemSample> {
+        mut sink: impl FnMut(MemSample),
+    ) {
         if extents.is_empty() || bytes == 0 {
-            return Vec::new();
+            return;
         }
         let n = self.poisson(bytes as f64 / self.cfg.period_bytes as f64);
         let total: Bytes = extents.iter().map(|e| e.bytes).sum();
-        let mut out = Vec::with_capacity(n as usize);
         let write_prob = match dir {
             Direction::Read => 0.0,
             Direction::Write => 1.0,
@@ -135,14 +137,13 @@ impl<R: Rng> Sampler<R> {
             };
             let base_lat = idle_latency_of(chosen.pool);
             let jitter = 1.0 + self.cfg.latency_jitter * (self.rng.random::<f64>() - 0.5) * 2.0;
-            out.push(MemSample {
+            sink(MemSample {
                 addr: chosen.addr + offset + skid,
                 latency_ns: base_lat * jitter,
                 is_write: self.rng.random::<f64>() < write_prob,
                 pool: chosen.pool,
             });
         }
-        out
     }
 }
 
@@ -163,11 +164,24 @@ mod tests {
         Extent { addr, bytes, pool }
     }
 
+    /// The samples one stream yields, in draw order.
+    fn collect(
+        s: &mut Sampler<ChaCha8Rng>,
+        extents: &[Extent],
+        bytes: Bytes,
+        dir: Direction,
+        idle_latency_of: impl Fn(PoolKind) -> f64,
+    ) -> Vec<MemSample> {
+        let mut out = Vec::new();
+        s.sample_stream(extents, bytes, dir, idle_latency_of, |smp| out.push(smp));
+        out
+    }
+
     #[test]
     fn sample_count_tracks_traffic() {
         let mut s = sampler(1024 * 1024);
         let e = [extent(0x1000_0000, 1 << 30, PoolKind::Ddr)];
-        let samples = s.sample_stream(&e, 1 << 30, Direction::Read, |_| 95.0);
+        let samples = collect(&mut s, &e, 1 << 30, Direction::Read, |_| 95.0);
         let lambda = (1u64 << 30) as f64 / (1024.0 * 1024.0); // 1024
         let n = samples.len() as f64;
         assert!((n - lambda).abs() < 5.0 * lambda.sqrt(), "n={n} lambda={lambda}");
@@ -177,8 +191,8 @@ mod tests {
     fn zero_traffic_zero_samples() {
         let mut s = sampler(1024);
         let e = [extent(0, 4096, PoolKind::Hbm)];
-        assert!(s.sample_stream(&e, 0, Direction::Read, |_| 1.0).is_empty());
-        assert!(s.sample_stream(&[], 4096, Direction::Read, |_| 1.0).is_empty());
+        assert!(collect(&mut s, &e, 0, Direction::Read, |_| 1.0).is_empty());
+        assert!(collect(&mut s, &[], 4096, Direction::Read, |_| 1.0).is_empty());
     }
 
     #[test]
@@ -188,7 +202,7 @@ mod tests {
             extent(0x1000_0000_0000, 1 << 26, PoolKind::Ddr),
             extent(0x2000_0000_0000, 1 << 26, PoolKind::Hbm),
         ];
-        let samples = s.sample_stream(&e, 1 << 30, Direction::Read, |_| 95.0);
+        let samples = collect(&mut s, &e, 1 << 30, Direction::Read, |_| 95.0);
         assert!(!samples.is_empty());
         for smp in &samples {
             assert!(e.iter().any(|x| x.contains(smp.addr)), "stray sample at {:#x}", smp.addr);
@@ -203,7 +217,7 @@ mod tests {
             extent(0x1000_0000_0000, 3 << 24, PoolKind::Ddr),
             extent(0x2000_0000_0000, 1 << 24, PoolKind::Hbm),
         ];
-        let samples = s.sample_stream(&e, 1 << 31, Direction::Read, |_| 95.0);
+        let samples = collect(&mut s, &e, 1 << 31, Direction::Read, |_| 95.0);
         let ddr = samples.iter().filter(|x| x.pool == PoolKind::Ddr).count() as f64;
         let hbm = samples.iter().filter(|x| x.pool == PoolKind::Hbm).count() as f64;
         let ratio = ddr / hbm;
@@ -214,7 +228,7 @@ mod tests {
     fn latency_reflects_pool() {
         let mut s = sampler(256 * 1024);
         let e = [extent(0x2000_0000_0000, 1 << 28, PoolKind::Hbm)];
-        let samples = s.sample_stream(&e, 1 << 30, Direction::Read, |p| match p {
+        let samples = collect(&mut s, &e, 1 << 30, Direction::Read, |p| match p {
             PoolKind::Hbm => 114.0,
             _ => 95.0,
         });
@@ -227,11 +241,11 @@ mod tests {
     fn write_direction_marks_samples() {
         let mut s = sampler(256 * 1024);
         let e = [extent(0x1000_0000_0000, 1 << 28, PoolKind::Ddr)];
-        let reads = s.sample_stream(&e, 1 << 30, Direction::Read, |_| 95.0);
+        let reads = collect(&mut s, &e, 1 << 30, Direction::Read, |_| 95.0);
         assert!(reads.iter().all(|x| !x.is_write));
-        let writes = s.sample_stream(&e, 1 << 30, Direction::Write, |_| 95.0);
+        let writes = collect(&mut s, &e, 1 << 30, Direction::Write, |_| 95.0);
         assert!(writes.iter().all(|x| x.is_write));
-        let mixed = s.sample_stream(&e, 1 << 31, Direction::ReadWrite, |_| 95.0);
+        let mixed = collect(&mut s, &e, 1 << 31, Direction::ReadWrite, |_| 95.0);
         let frac = mixed.iter().filter(|x| x.is_write).count() as f64 / mixed.len() as f64;
         assert!(frac > 0.4 && frac < 0.6, "write fraction {frac}");
     }
@@ -253,7 +267,7 @@ mod tests {
         let run = || {
             let mut s = sampler(64 * 1024);
             let e = [extent(0x1000_0000_0000, 1 << 26, PoolKind::Ddr)];
-            s.sample_stream(&e, 1 << 28, Direction::Read, |_| 95.0)
+            collect(&mut s, &e, 1 << 28, Direction::Read, |_| 95.0)
                 .iter()
                 .map(|x| x.addr)
                 .collect::<Vec<_>>()

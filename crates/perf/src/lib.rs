@@ -14,7 +14,9 @@
 //!   (IBS attributes the micro-op after the event on real hardware), and
 //!   a service latency drawn from the serving pool.
 //! * [`attr`] — address→site attribution through the allocation registry
-//!   (misattributed or unattributable samples are counted, not hidden).
+//!   (misattributed or unattributable samples are counted, not hidden),
+//!   streamed: each sample updates its site's running totals as it is
+//!   drawn, and no sample is kept.
 //! * [`stats`] — per-site access densities: the red-dot/blue-cross
 //!   numbers of the paper's Fig 7a.
 //! * [`counters`] — per-pool byte and FLOP counters, the inputs to the
@@ -26,7 +28,7 @@ pub mod histogram;
 pub mod ibs;
 pub mod stats;
 
-pub use attr::{attribute, Attribution};
+pub use attr::{Attribution, SiteTally};
 pub use counters::Counters;
 pub use histogram::LatencyHistogram;
 pub use ibs::{IbsConfig, MemSample, Sampler};

@@ -33,24 +33,23 @@ pub struct AccessStats {
 }
 
 impl AccessStats {
-    /// Reduce an attribution into per-site statistics.
+    /// Reduce an attribution's per-site totals into per-site
+    /// statistics.
     pub fn from_attribution(attr: &Attribution) -> Self {
         let total = attr.attributed();
         let mut by_site = HashMap::with_capacity(attr.by_site.len());
-        for (site, samples) in &attr.by_site {
-            let n = samples.len();
+        for (site, tally) in &attr.by_site {
+            let n = tally.samples;
             if n == 0 {
                 continue;
             }
-            let mean_latency_ns = samples.iter().map(|s| s.latency_ns).sum::<f64>() / n as f64;
-            let writes = samples.iter().filter(|s| s.is_write).count();
             by_site.insert(
                 *site,
                 SiteAccess {
                     samples: n,
                     density: if total > 0 { n as f64 / total as f64 } else { 0.0 },
-                    mean_latency_ns,
-                    write_fraction: writes as f64 / n as f64,
+                    mean_latency_ns: tally.latency_sum_ns / n as f64,
+                    write_fraction: tally.writes as f64 / n as f64,
                 },
             );
         }
@@ -73,29 +72,22 @@ impl AccessStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ibs::MemSample;
+    use crate::attr::SiteTally;
     use hmpt_alloc::site::StackTrace;
-    use hmpt_sim::pool::PoolKind;
 
     fn site(name: &str) -> SiteId {
         StackTrace::from_symbols(&[name]).site_id()
     }
 
-    fn samples(n: usize, latency: f64, writes: usize) -> Vec<MemSample> {
-        (0..n)
-            .map(|i| MemSample {
-                addr: i as u64,
-                latency_ns: latency,
-                is_write: i < writes,
-                pool: PoolKind::Ddr,
-            })
-            .collect()
+    /// `n` samples of `latency` ns each, `writes` of them writes.
+    fn tally(n: usize, latency: f64, writes: usize) -> SiteTally {
+        SiteTally { samples: n, latency_sum_ns: n as f64 * latency, writes }
     }
 
     fn make_stats() -> AccessStats {
         let mut attr = Attribution::default();
-        attr.by_site.insert(site("hot"), samples(90, 100.0, 30));
-        attr.by_site.insert(site("cold"), samples(10, 120.0, 0));
+        attr.by_site.insert(site("hot"), tally(90, 100.0, 30));
+        attr.by_site.insert(site("cold"), tally(10, 120.0, 0));
         attr.unattributed = 5;
         AccessStats::from_attribution(&attr)
     }

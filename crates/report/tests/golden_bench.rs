@@ -85,9 +85,11 @@ fn malformed_lines_are_rejected_by_number() {
 /// ten interleaved runs.
 #[test]
 fn the_checked_in_perf_trajectory_ingests() {
+    let lines = TRAJECTORY.lines().count();
+    assert!(lines > 0 && lines.is_multiple_of(12), "2 workloads × 3 metrics × 2 sides per change");
     let mut record = CampaignRecord::new("trajectory");
-    assert_eq!(record.absorb_bench_jsonl(TRAJECTORY), Ok(12));
-    assert_eq!(record.benches.len(), 12, "every line names its own bench");
+    assert_eq!(record.absorb_bench_jsonl(TRAJECTORY), Ok(lines));
+    assert_eq!(record.benches.len(), lines, "every line names its own bench");
     for (name, point) in &record.benches {
         let parts: Vec<&str> = name.split('/').collect();
         let [change, workload, metric, side] = parts[..] else {

@@ -329,9 +329,9 @@ impl Coordinator {
         }
         let spec =
             CampaignSpec::parse(spec_text).map_err(|e| ServeError::BadSpec(e.to_string()))?;
-        let fingerprint =
-            spec.fingerprint().map_err(|e| ServeError::BadSpec(e.to_string()))?.to_string();
-        match spec.resolve().map_err(|e| ServeError::BadSpec(e.to_string()))? {
+        let resolved = spec.resolve().map_err(|e| ServeError::BadSpec(e.to_string()))?;
+        let fingerprint = resolved.fingerprint().to_string();
+        match resolved {
             Resolved::Batch(_) => {
                 return Err(ServeError::BadSpec(
                     "the service executes matrix-mode specs; run batch specs directly".into(),

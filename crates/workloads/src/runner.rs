@@ -8,9 +8,9 @@
 use hmpt_alloc::error::AllocError;
 use hmpt_alloc::plan::PlacementPlan;
 use hmpt_alloc::shim::{Allocation, Shim};
-use hmpt_perf::attr::attribute;
+use hmpt_perf::attr::Attribution;
 use hmpt_perf::counters::Counters;
-use hmpt_perf::ibs::{IbsConfig, MemSample, Sampler};
+use hmpt_perf::ibs::{IbsConfig, Sampler};
 use hmpt_perf::stats::AccessStats;
 use hmpt_sim::cost::{phase_time, PhaseCost, PhaseLoad};
 use hmpt_sim::machine::Machine;
@@ -64,9 +64,9 @@ pub struct RunOutcome {
     pub time_s: f64,
     /// Hardware counters (noise-free model totals).
     pub counters: Counters,
-    /// Raw IBS samples (empty unless profiling was enabled).
-    pub samples: Vec<MemSample>,
-    /// Attributed per-site access statistics.
+    /// Attributed per-site access statistics (empty unless profiling
+    /// was enabled). The IBS samples behind them are attributed as they
+    /// are drawn and not kept.
     pub stats: AccessStats,
     /// Fraction of the footprint placed in HBM during the run.
     pub hbm_footprint_fraction: f64,
@@ -138,7 +138,10 @@ pub fn run_once(
 
     let mut counters = Counters::new();
     let mut model_time = 0.0;
-    let mut samples: Vec<MemSample> = Vec::new();
+    // Every allocation is live from here until `free_all`, so charging
+    // a sample to its site as it is drawn reads the same registry an
+    // attribution after the last phase would.
+    let mut attribution = Attribution::default();
     let mut phase_costs = Vec::with_capacity(spec.phases.len());
 
     for (i, phase) in spec.phases.iter().enumerate() {
@@ -157,27 +160,24 @@ pub fn run_once(
             for (spec_stream, alloc_ref) in phase.streams.iter().map(|s| (s, &allocations[s.alloc]))
             {
                 let traffic = spec_stream.bytes * phase.repeats;
-                samples.extend(sampler.sample_stream(
+                sampler.sample_stream(
                     &alloc_ref.extents,
                     traffic,
                     spec_stream.dir,
                     |pool: PoolKind| machine.pool(pool).idle_latency_ns,
-                ));
+                    |sample| attribution.record(sample, shim.registry()),
+                );
             }
         }
         phase_costs.push(cost);
     }
 
-    let stats = if samples.is_empty() {
-        AccessStats::default()
-    } else {
-        AccessStats::from_attribution(&attribute(&samples, shim.registry()))
-    };
+    let stats = AccessStats::from_attribution(&attribution);
 
     let time_s = cfg.noise.perturb(model_time, &mut rng);
     shim.free_all();
 
-    Ok(RunOutcome { time_s, counters, samples, stats, hbm_footprint_fraction, phase_costs })
+    Ok(RunOutcome { time_s, counters, stats, hbm_footprint_fraction, phase_costs })
 }
 
 #[cfg(test)]
@@ -232,12 +232,13 @@ mod tests {
         let m = xeon_max_9468();
         let w = toy();
         let out = run_once(&m, &w, &PlacementPlan::default(), &RunConfig::profiling(3)).unwrap();
-        assert!(!out.samples.is_empty());
+        assert!(out.stats.total_samples > 0);
         // Hot allocation gets ~8/9 of the samples.
         let hot = out.stats.density(w.allocations[0].site());
         assert!(hot > 0.8 && hot < 0.95, "hot density {hot}");
         // Unattributed samples only from skid (≤ a few).
-        assert!(out.stats.unattributed < out.samples.len() / 100 + 5);
+        let drawn = out.stats.total_samples + out.stats.unattributed;
+        assert!(out.stats.unattributed < drawn / 100 + 5);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Fleet batch example: answer a stream of tuning jobs with a shared
-//! parallel executor and content-addressed measurement cache.
+//! job pool and content-addressed measurement cache.
 //!
 //! ```text
 //! cargo run --release --example fleet_batch

@@ -2,8 +2,9 @@
 //! bit-identical to the serial one, a warmed measurement cache never
 //! changes an analysis result while eliminating simulated runs, chunked
 //! streaming over the campaign-plan IR matches eager execution for any
-//! chunk size, and adaptive (confidence-targeted) repetition campaigns
-//! are deterministic across execution strategies.
+//! chunk size, adaptive (confidence-targeted) repetition campaigns
+//! are deterministic across execution strategies, and each job of a
+//! batch counts its own cache traffic however many jobs run at once.
 
 use std::sync::Arc;
 
@@ -237,5 +238,42 @@ proptest! {
             )
             .unwrap();
         assert_campaigns_bit_identical(&serial, &cached)?;
+    }
+}
+
+/// Each job counts its own cache lookups at any job width: the jobs'
+/// hits and misses add up to the batch's, which the shared cache's own
+/// counters measure. One at a time, a job's counts are what the shared
+/// cache's counters moved by while it ran. The duplicated mg job reads
+/// cells the first one measured, or races it for them.
+#[test]
+fn per_job_cache_counts_add_up_to_the_batch_at_any_width() {
+    use hmpt_repro::workloads::npb;
+    let jobs: Vec<TuningJob> = [npb::mg::workload(), npb::is::workload(), npb::mg::workload()]
+        .into_iter()
+        .chain([npb::bt::workload()])
+        .map(TuningJob::new)
+        .collect();
+    let mut sequential = None;
+    for job_workers in [1, 2, 4] {
+        let fleet = Fleet::new(FleetConfig { job_workers, ..FleetConfig::default() });
+        let batch = fleet.run(&jobs).unwrap();
+        let hits: u64 = batch.reports.iter().map(|r| r.cache.hits).sum();
+        let misses: u64 = batch.reports.iter().map(|r| r.cache.misses).sum();
+        assert_eq!(
+            (hits, misses),
+            (batch.stats.cache.hits, batch.stats.cache.misses),
+            "job_workers {job_workers}: the jobs' counts must add up to the batch's"
+        );
+        if job_workers == 1 {
+            sequential = Some(batch);
+        }
+    }
+    let sequential = sequential.expect("job_workers 1 ran");
+    let reference = Fleet::new(FleetConfig { job_workers: 1, ..FleetConfig::default() });
+    for (job, report) in jobs.iter().zip(&sequential.reports) {
+        let before = reference.cache().stats();
+        reference.run_job(job).unwrap();
+        assert_eq!(report.cache, reference.cache().stats().since(&before), "{}", job.spec.name);
     }
 }

@@ -5,7 +5,9 @@
 //! including the on-disk cache snapshot — and the trace a run emits is
 //! schema-valid JSONL. The trace also pins how much work a run does:
 //! a matrix starts one pool for all its campaign groups, `verify`
-//! re-runs it once, and a served job at one worker starts no pool.
+//! re-runs it once, a default batch starts one pool for all its jobs
+//! and a one-job batch none, and a served job at one worker starts no
+//! pool.
 //!
 //! Telemetry state is process-global, so every test here serializes on
 //! one lock and tears the collector back down before releasing it.
@@ -16,7 +18,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use hmpt_fleet::api::{self, Request, Response};
 use hmpt_fleet::matrix::run_matrix;
 use hmpt_fleet::spec::{CampaignSpec, Resolved};
-use hmpt_fleet::{Fleet, FleetConfig, TuningJob};
+use hmpt_fleet::{available_workers, Fleet, FleetConfig, TuningJob};
 use hmpt_obs::JsonlCollector;
 use hmpt_repro::core::exec::ExecutorKind;
 use hmpt_repro::core::measure::CampaignConfig;
@@ -394,4 +396,44 @@ workers = 2
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(state, JobState::Completed);
     assert_eq!(counter_total(&trace, "exec.parallel.batches"), 0, "no cell pool");
+}
+
+/// The Table II batch as checked in: no `serial`, `workers` or
+/// `job_workers`, so it runs on the defaults.
+const TABLE2: &str = include_str!("../examples/table2.toml");
+
+/// Run a batch spec traced and return its `exec.parallel.batches`
+/// total, or `None` on a host where the default width of one worker
+/// per CPU is 1 (no pool to count).
+fn batch_pools(spec: &str) -> Option<u64> {
+    if available_workers() < 2 {
+        eprintln!("one CPU: the default job pool is one worker wide; nothing to count");
+        return None;
+    }
+    let request = Request::from_spec(CampaignSpec::parse(spec).unwrap()).unwrap();
+    let (response, trace) = traced(|| api::execute(&request).expect("batch run"));
+    assert!(matches!(response, Response::Batch(_)), "a batch spec runs a batch");
+    Some(counter_total(&trace, "exec.parallel.batches"))
+}
+
+/// By default a batch fans out over its jobs, not their cells: Table
+/// II's seven jobs share one job pool and run their cells serially.
+#[test]
+fn a_default_batch_starts_one_pool_for_all_its_jobs() {
+    let _guard = exclusive();
+    if let Some(pools) = batch_pools(TABLE2) {
+        assert_eq!(pools, 1, "one job pool, no cell pools");
+    }
+}
+
+/// A lone job runs its cells serially by default, so a one-job batch
+/// starts no pool at all.
+#[test]
+fn a_default_one_job_batch_starts_no_pool() {
+    let _guard = exclusive();
+    let one_job = TABLE2.replacen("mode = \"batch\"", "mode = \"batch\"\nworkloads = [\"mg\"]", 1);
+    assert!(one_job.contains("workloads"), "examples/table2.toml changed its mode line");
+    if let Some(pools) = batch_pools(&one_job) {
+        assert_eq!(pools, 0, "no pool for one job's serial cells");
+    }
 }
