@@ -7,9 +7,11 @@
 //! module gives the cache a durable form, which is what lets fleet
 //! batches, scenario matrices, and CI runs warm-start instead of
 //! re-simulating from cold. [`preload`] is the warm start the fleet, the
-//! request API and the campaign service share, and [`write_atomic`] is
-//! the temp-file + rename that snapshots, the service's queue and
-//! reports, and the campaign warehouse are written through.
+//! request API and the campaign service share, [`write_atomic`] is the
+//! temp-file + rename that snapshots, the service's queue snapshot and
+//! reports, and the campaign warehouse's payloads are written through,
+//! and the line log ([`append_line`], [`read_lines`]) journals the
+//! service's queue and the warehouse index.
 //!
 //! ## Snapshot format (version 1)
 //!
@@ -69,6 +71,18 @@
 //! folds when the journal would outgrow the snapshot, and whenever it
 //! cannot trust the journal's tail.
 //!
+//! ## Line logs
+//!
+//! Small JSON state — the campaign service's job queue, the campaign
+//! warehouse's index — is journaled as a *line log*: one record per
+//! line, `<checksum16> <json>`, the checksum a [`StableHasher`] over the
+//! compact JSON that follows. There is no header to corrupt.
+//! [`read_lines`] skips each line that fails its checksum or its decode
+//! and keeps every other one, so a torn tail or a flipped byte costs the
+//! one record it hits. [`append_line`] never continues a torn line: a
+//! log that does not end in a line break gets one first, so the new
+//! record starts a fresh line.
+//!
 //! ## Merging
 //!
 //! [`merge_into`] folds any number of snapshots into one cache with
@@ -79,13 +93,13 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, Write};
 use std::path::Path;
 
 use hmpt_alloc::error::AllocError;
 use hmpt_sim::fingerprint::{Fingerprint, StableHasher};
 use hmpt_sim::pool::PoolKind;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::cache::{CellKey, MeasurementCache};
 use crate::error::TunerError;
@@ -440,6 +454,66 @@ pub fn append(
     hmpt_obs::counter("store.bytes_written").add(bytes.len() as u64);
     file.write_all(&bytes)?;
     Ok(report)
+}
+
+/// Render one line-log record, `<checksum16> <json>`, without its line
+/// break. Compact JSON escapes every control character, so the record
+/// is one line whatever strings it carries.
+fn encode_line<T: Serialize + ?Sized>(value: &T) -> String {
+    let json = serde_json::to_string(value).expect("compact JSON serialization is infallible");
+    format!("{:016x} {json}", checksum(json.as_bytes()))
+}
+
+/// Decode one line-log record, without its line break; `None` marks it
+/// damaged: not `<checksum16> <json>` exactly as [`encode_line`] spells
+/// it for that JSON, or JSON that does not decode as `T`.
+fn decode_line<T: Deserialize>(line: &[u8]) -> Option<T> {
+    let (sum, json) = std::str::from_utf8(line).ok()?.split_once(' ')?;
+    if sum != format!("{:016x}", checksum(json.as_bytes())) {
+        return None;
+    }
+    serde_json::from_str(json).ok()
+}
+
+/// Read the line log at `path`: its intact records in file order, and
+/// the number of non-empty lines skipped as damaged. A missing file is
+/// an empty log.
+pub fn read_lines<T: Deserialize>(path: &Path) -> io::Result<(Vec<T>, u64)> {
+    let bytes = match fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
+        Err(e) => return Err(e),
+    };
+    let (mut records, mut skipped) = (Vec::new(), 0);
+    for line in bytes.split(|&b| b == b'\n').filter(|line| !line.is_empty()) {
+        match decode_line(line) {
+            Some(record) => records.push(record),
+            None => skipped += 1,
+        }
+    }
+    Ok((records, skipped))
+}
+
+/// Append `record` to the line log at `path` in one write, creating the
+/// file if needed. A log that does not end in a line break — a torn
+/// last line — gets one first, so the record starts a fresh line and a
+/// reader loses only the torn one. Counted under
+/// `store.line_bytes_written`, apart from the cache's binary files.
+pub fn append_line<T: Serialize + ?Sized>(path: &Path, record: &T) -> io::Result<()> {
+    let mut file = fs::OpenOptions::new().read(true).append(true).create(true).open(path)?;
+    let mut text = String::new();
+    if file.metadata()?.len() > 0 {
+        let mut last = [0u8];
+        file.seek(io::SeekFrom::End(-1))?;
+        file.read_exact(&mut last)?;
+        if last[0] != b'\n' {
+            text.push('\n');
+        }
+    }
+    text.push_str(&encode_line(record));
+    text.push('\n');
+    hmpt_obs::counter("store.line_bytes_written").add(text.len() as u64);
+    file.write_all(text.as_bytes())
 }
 
 /// Load a snapshot into an existing cache (preload / warm-start path;
@@ -870,6 +944,28 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
         assert!(matches!(append(&path, &entries), Err(StoreError::Io(_))));
         assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, bytes.len() - 5);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_line_log_skips_damaged_lines_and_never_continues_a_torn_one() {
+        let path = std::env::temp_dir().join(format!("hmpt-lines-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(read_lines::<Vec<String>>(&path).unwrap(), (vec![], 0), "no file: empty log");
+        let records: Vec<Vec<String>> =
+            vec![vec!["a".into()], vec!["b\nc".into(), "\"".into()], vec![]];
+        for record in &records {
+            append_line(&path, record).unwrap();
+        }
+        assert_eq!(read_lines(&path).unwrap(), (records.clone(), 0));
+
+        // Flip a byte of the first record's JSON and tear the last line.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[20] ^= 0x01;
+        bytes.truncate(bytes.len() - 2);
+        std::fs::write(&path, &bytes).unwrap();
+        append_line(&path, &records[0]).unwrap();
+        assert_eq!(read_lines(&path).unwrap(), (vec![records[1].clone(), records[0].clone()], 2));
         std::fs::remove_file(&path).unwrap();
     }
 

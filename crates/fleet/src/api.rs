@@ -207,35 +207,36 @@ impl From<MergeError> for ApiError {
 /// Execute a request.
 pub fn execute(request: &Request) -> Result<Response, ApiError> {
     match request {
-        Request::Batch(spec) => {
-            let resolved = spec.resolve()?;
-            let fingerprint = resolved.fingerprint().to_string();
-            match resolved {
-                Resolved::Batch(resolved) => {
-                    execute_batch(resolved, fingerprint).map(Response::Batch)
-                }
-                Resolved::Matrix(_) => {
-                    Err(ApiError::BadRequest("Request::Batch carries a matrix-mode spec".into()))
-                }
+        Request::Batch(spec) => match spec.resolve()? {
+            resolved @ Resolved::Batch(_) => execute_resolved(&resolved),
+            Resolved::Matrix(_) => {
+                Err(ApiError::BadRequest("Request::Batch carries a matrix-mode spec".into()))
             }
-        }
-        Request::Matrix(spec) => {
-            let resolved = spec.resolve()?;
-            let fingerprint = resolved.fingerprint().to_string();
-            match resolved {
-                Resolved::Matrix(resolved) => execute_matrix(resolved, fingerprint),
-                Resolved::Batch(_) => {
-                    Err(ApiError::BadRequest("Request::Matrix carries a batch-mode spec".into()))
-                }
+        },
+        Request::Matrix(spec) => match spec.resolve()? {
+            resolved @ Resolved::Matrix(_) => execute_resolved(&resolved),
+            Resolved::Batch(_) => {
+                Err(ApiError::BadRequest("Request::Matrix carries a batch-mode spec".into()))
             }
-        }
+        },
         Request::Merge(req) => execute_merge(req).map(Response::Merge),
+    }
+}
+
+/// Execute an already-resolved spec, as [`execute`] executes the
+/// request the spec denotes — for a caller that also reads the
+/// resolution, so the spec is resolved once.
+pub fn execute_resolved(resolved: &Resolved) -> Result<Response, ApiError> {
+    let fingerprint = resolved.fingerprint().to_string();
+    match resolved {
+        Resolved::Batch(resolved) => execute_batch(resolved, fingerprint).map(Response::Batch),
+        Resolved::Matrix(resolved) => execute_matrix(resolved, fingerprint),
     }
 }
 
 /// The batch path: optional serial-vs-parallel comparison, then the
 /// fleet run (shared cache, snapshot load/save).
-fn execute_batch(resolved: ResolvedBatch, fingerprint: String) -> Result<BatchOutcome, ApiError> {
+fn execute_batch(resolved: &ResolvedBatch, fingerprint: String) -> Result<BatchOutcome, ApiError> {
     let _span = hmpt_obs::span("api.batch");
     let comparison = if resolved.compare {
         // Time against the configured parallel pool (or an auto-sized
@@ -248,7 +249,7 @@ fn execute_batch(resolved: ResolvedBatch, fingerprint: String) -> Result<BatchOu
     } else {
         None
     };
-    let fleet = Fleet::new(resolved.fleet);
+    let fleet = Fleet::new(resolved.fleet.clone());
     let preloaded = fleet.preloaded();
     let report = fleet.run(&resolved.jobs)?;
     Ok(BatchOutcome { report, comparison, preloaded, fingerprint })
@@ -340,16 +341,16 @@ pub fn run_checked(
 /// whole matrix, or its one shard) on a fleet that preloads the cache
 /// snapshot, then save-on-finish ([`Fleet::persist`], LRU-swept to
 /// `cache.max_records`) if the run changed the cache.
-fn execute_matrix(resolved: ResolvedMatrix, fingerprint: String) -> Result<Response, ApiError> {
+fn execute_matrix(resolved: &ResolvedMatrix, fingerprint: String) -> Result<Response, ApiError> {
     let _span = hmpt_obs::span("api.matrix");
     let ResolvedMatrix { matrix, config, verify, cache_file, cache_max_records, shard } = resolved;
     let fleet = Fleet::new(FleetConfig {
-        cache_path: cache_file,
-        cache_max_records,
+        cache_path: cache_file.clone(),
+        cache_max_records: *cache_max_records,
         ..config.fleet_config()
     });
     let range = shard.map_or(0..matrix.len(), |s| s.range());
-    let (rows, stats) = run_checked(&fleet, &matrix, range, verify)?;
+    let (rows, stats) = run_checked(&fleet, matrix, range, *verify)?;
     let preloaded = fleet.preloaded();
     // A failed save degrades the *next* run; these results stand.
     let save_error = match (fleet.persist(), &fleet.config().cache_path) {
@@ -361,7 +362,7 @@ fn execute_matrix(resolved: ResolvedMatrix, fingerprint: String) -> Result<Respo
             report: ShardReport {
                 shard: shard.shard,
                 total_shards: shard.total,
-                matrix_fingerprint: config.matrix_fingerprint(&matrix).to_string(),
+                matrix_fingerprint: config.matrix_fingerprint(matrix).to_string(),
                 rows,
                 stats,
             },

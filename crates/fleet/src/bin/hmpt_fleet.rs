@@ -53,7 +53,7 @@
 use hmpt_core::exec::available_workers;
 use hmpt_fleet::api::{self, BatchOutcome, Comparison, MergeRequest, Request, Response};
 use hmpt_fleet::cli::{self, Action, ClientCmd, ReportCmd};
-use hmpt_fleet::spec::{CampaignSpec, Resolved, TelemetrySection};
+use hmpt_fleet::spec::{CampaignSpec, Resolved, ResolvedBatch, TelemetrySection};
 use hmpt_fleet::telemetry::{bench_jsonl, summarize_trace, summarize_trace_json, BenchLine};
 use hmpt_fleet::{store, MatrixReport, ScenarioRow, ShardReport};
 use hmpt_obs::{Collector, Fanout, JsonlCollector, MemoryCollector, StderrCollector};
@@ -199,9 +199,9 @@ fn main() {
                 return;
             }
             if check {
-                let fingerprint = spec.fingerprint().unwrap_or_else(|e| fail(e));
-                describe(&spec);
-                println!("{fingerprint}");
+                let resolved = spec.resolve().unwrap_or_else(|e| fail(e));
+                describe(&resolved);
+                println!("{}", resolved.fingerprint());
                 return;
             }
             execute(spec, out);
@@ -567,10 +567,9 @@ fn report(cmd: ReportCmd) {
 
 /// One stderr line summarizing what a spec denotes (the `--check` view
 /// and the pre-run banner share it).
-fn describe(spec: &CampaignSpec) {
-    match spec.resolve() {
-        Err(e) => fail(e),
-        Ok(Resolved::Batch(b)) => {
+fn describe(resolved: &Resolved) {
+    match resolved {
+        Resolved::Batch(b) => {
             let (pool, cells) = b.fleet.pool(b.jobs.len());
             hmpt_obs::info(
                 "fleet.spec",
@@ -586,7 +585,7 @@ fn describe(spec: &CampaignSpec) {
                 ),
             );
         }
-        Ok(Resolved::Matrix(m)) => {
+        Resolved::Matrix(m) => {
             hmpt_obs::info(
                 "fleet.spec",
                 format!(
@@ -697,20 +696,24 @@ fn print_metrics(memory: &MemoryCollector) {
     }
 }
 
-/// Execute a spec through the API facade and render the response.
+/// Execute a spec through the API facade and render the response. The
+/// spec is resolved once; the banner, the run and the report share it.
 fn execute(spec: CampaignSpec, out: Option<String>) {
     let telemetry = spec.telemetry.clone().unwrap_or_default();
     let memory = install_telemetry(&telemetry);
-    describe(&spec);
-    let request = Request::from_spec(spec.clone()).unwrap_or_else(|e| fail(e));
+    let resolved = spec.resolve().unwrap_or_else(|e| fail(e));
+    describe(&resolved);
     let t0 = Instant::now();
-    let response = api::execute(&request).unwrap_or_else(|e| fail(e));
+    let response = api::execute_resolved(&resolved).unwrap_or_else(|e| fail(e));
     let total_wall_s = t0.elapsed().as_secs_f64();
 
     let bench = match response {
         Response::Batch(outcome) => {
+            let Resolved::Batch(batch) = &resolved else {
+                unreachable!("a batch outcome implies a batch spec");
+            };
             let executed = outcome.report.stats.executed_cells;
-            render_batch(&spec, outcome, total_wall_s, out);
+            render_batch(&spec, batch, outcome, total_wall_s, out);
             bench_of("batch", total_wall_s, executed)
         }
         Response::Matrix(outcome) => {
@@ -840,13 +843,11 @@ struct Report {
 
 fn render_batch(
     spec: &CampaignSpec,
+    resolved: &ResolvedBatch,
     outcome: BatchOutcome,
     total_wall_s: f64,
     out: Option<String>,
 ) {
-    let Ok(Resolved::Batch(resolved)) = spec.resolve() else {
-        unreachable!("a batch outcome implies a batch spec");
-    };
     hmpt_obs::info(
         "fleet.table",
         "workload     max   HBM-only   90% usage   online   cells (hit/miss)   wall".into(),

@@ -8,10 +8,10 @@
 //! * [`record`] normalizes any producer's artifact into a
 //!   [`record::CampaignRecord`], keyed by (`spec_fingerprint`, `label`,
 //!   monotonic `revision`).
-//! * [`warehouse`] stores records durably: an `index.jsonl` with
-//!   per-line checksums plus checksummed payload files, written
-//!   atomically and read corruption-tolerantly — the same discipline as
-//!   `hmpt_core::store`, transposed onto JSONL.
+//! * [`warehouse`] stores records durably: an appended `index.jsonl`
+//!   with per-line checksums (a `hmpt_core::store` line log) plus
+//!   checksummed payload files written atomically, all read
+//!   corruption-tolerantly — the same discipline as the cache store.
 //! * [`mod@diff`] compares two records: per-scenario speedup ratios,
 //!   placement flips, Table-II band drift, cache and throughput trends,
 //!   bench deltas.

@@ -10,17 +10,21 @@
 //!     <fp8>-<label>-r<rev>.json    the CampaignRecord payload
 //! ```
 //!
-//! The same discipline as `hmpt_core::store`, transposed onto JSONL:
+//! The same discipline as `hmpt_core::store`:
 //!
-//! * **Atomic writes** — every file (record payloads and the index) is
-//!   written through [`hmpt_core::store::write_atomic`]: a `*.tmp.<pid>`
-//!   sibling renamed into place, so a concurrent reader never observes
-//!   a half-written file.
-//! * **Per-line checksums** — each index line starts with a 16-hex-digit
-//!   `StableHasher` checksum of the entry JSON that follows. A damaged
-//!   or truncated line fails its checksum and is skipped *individually*;
-//!   every intact line still loads ([`LoadReport`] counts the damage).
-//!   There is no header to corrupt: an index is pure repeated records.
+//! * **Atomic payloads** — each record payload is written through
+//!   [`hmpt_core::store::write_atomic`]: a `*.tmp.<pid>` sibling renamed
+//!   into place, so a concurrent reader never observes a half-written
+//!   payload.
+//! * **An appended index** — the index is a store line log: an ingest
+//!   appends its one entry line ([`store::append_line`]) once the
+//!   payload is on disk, and never rewrites the lines before it. Each
+//!   line starts with a 16-hex-digit `StableHasher` checksum of the
+//!   entry JSON that follows. A damaged or truncated line fails its
+//!   checksum and is skipped *individually*; every intact line still
+//!   loads ([`LoadReport`] counts the damage), and the next ingest
+//!   starts a fresh line after a torn one. There is no header to
+//!   corrupt: an index is pure repeated records.
 //! * **Payload checksums** — each entry stores the checksum of its
 //!   record file's bytes. A record whose bytes no longer match is
 //!   reported as [`WarehouseError::RecordDamaged`] on load instead of
@@ -168,35 +172,17 @@ impl Warehouse {
     /// Load the index, skipping damaged lines individually. A missing
     /// index file is an empty warehouse, not an error.
     pub fn index(&self) -> Result<(Vec<IndexEntry>, LoadReport), WarehouseError> {
-        let text = match fs::read_to_string(self.index_path()) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok((Vec::new(), LoadReport::default()))
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let mut entries = Vec::new();
-        let mut report = LoadReport::default();
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            let Some(entry) = decode_index_line(line) else {
-                report.skipped += 1;
-                continue;
-            };
-            entries.push(entry);
-            report.loaded += 1;
-        }
+        let (entries, skipped) = store::read_lines(&self.index_path())?;
+        let report = LoadReport { loaded: entries.len() as u64, skipped };
         Ok((entries, report))
     }
 
     /// Ingest a record: stamp the next free revision (unless the caller
-    /// pinned one), write the payload atomically, and rewrite the index
-    /// atomically. Returns the entry under which the record is now
+    /// pinned one), write the payload atomically, and append its index
+    /// line. Returns the entry under which the record is now
     /// addressable.
     pub fn ingest(&self, mut record: CampaignRecord) -> Result<IndexEntry, WarehouseError> {
-        let (mut entries, _) = self.index()?;
+        let (entries, _) = self.index()?;
         let series =
             |e: &IndexEntry| e.fingerprint == record.spec_fingerprint && e.label == record.label;
         if record.revision == 0 {
@@ -226,13 +212,7 @@ impl Warehouse {
             file,
             payload_checksum: checksum(payload.as_bytes()),
         };
-        entries.push(entry.clone());
-        let mut index = String::new();
-        for e in &entries {
-            index.push_str(&encode_index_line(e));
-            index.push('\n');
-        }
-        store::write_atomic(&self.index_path(), index.as_bytes())?;
+        store::append_line(&self.index_path(), &entry)?;
         Ok(entry)
     }
 
@@ -286,27 +266,6 @@ impl Warehouse {
 /// The highest revision carrying `label`, across fingerprints.
 fn latest(entries: Vec<IndexEntry>, label: &str) -> Option<IndexEntry> {
     entries.into_iter().filter(|e| e.label == label).max_by_key(|e| e.revision)
-}
-
-/// Render one index line: `<checksum16> <entry-json>`.
-fn encode_index_line(entry: &IndexEntry) -> String {
-    let json = serde_json::to_string(entry)
-        .unwrap_or_else(|e| unreachable!("an IndexEntry always serializes: {e}"));
-    format!("{:016x} {json}", checksum(json.as_bytes()))
-}
-
-/// Decode one index line; `None` marks it damaged (bad shape, bad
-/// checksum, or undecodable entry).
-fn decode_index_line(line: &str) -> Option<IndexEntry> {
-    let (sum, json) = line.split_once(' ')?;
-    if sum.len() != 16 {
-        return None;
-    }
-    let sum = u64::from_str_radix(sum, 16).ok()?;
-    if checksum(json.as_bytes()) != sum {
-        return None;
-    }
-    serde_json::from_str(json).ok()
 }
 
 #[cfg(test)]
@@ -396,6 +355,28 @@ mod tests {
         for e in &entries {
             w.load(e).unwrap();
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_ingest_after_a_torn_index_line_keeps_every_intact_entry() {
+        let dir = temp_dir("torn");
+        let w = Warehouse::open(&dir).unwrap();
+        for i in 0..3 {
+            w.ingest(record("zoo", "aa", 2.0 + i as f64)).unwrap();
+        }
+        // Cut the index inside its third line.
+        let path = dir.join(INDEX_FILE);
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
+
+        let e = w.ingest(record("zoo", "aa", 9.0)).unwrap();
+        assert_eq!(e.revision, 3, "the torn entry's revision is free again");
+        let (entries, report) = w.index().unwrap();
+        assert_eq!(report, LoadReport { loaded: 3, skipped: 1 });
+        assert_eq!(entries.iter().map(|e| e.revision).collect::<Vec<_>>(), vec![1, 2, 3]);
+        let back = w.load(&entries[2]).unwrap();
+        assert_eq!(back.scenarios[0].max_speedup.to_bits(), 9.0f64.to_bits());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,7 +5,8 @@
 //!
 //! ```text
 //! <state-dir>/
-//!   queue.json          # QueueSnapshot — every job ever admitted
+//!   queue.json          # QueueSnapshot — every job admitted, as of the last fold
+//!   queue.log           # journal: one JobRecord line per job state change since
 //!   cache.bin           # the shared MeasurementCache snapshot
 //!   cache.log           # journal: cells added since cache.bin was written
 //!   reports/job-<id>.json   # the MatrixReport of each completed job
@@ -14,17 +15,29 @@
 //! Every mutation persists before the verb answers, so a crash at any
 //! instant loses at most the frame being processed; [`Coordinator::open`]
 //! reloads the state and re-queues whatever was mid-flight (the state
-//! machine's adopt edge). `queue.json`, the reports and `cache.bin` are
-//! rewritten whole through [`store::write_atomic`]. The cells a job adds
-//! are appended to `cache.log` instead ([`store::append`]), so a job's
-//! persist costs its own new cells, not the whole cache, and a job that
-//! adds none writes nothing. The coordinator *folds* — rewrites
-//! `cache.bin` from the cache, then deletes the log — when the log would
-//! outgrow `cache.bin`, when the LRU bound evicted a cell (so no evicted
-//! cell survives in the log), after a failed append (whose torn tail
-//! nothing may follow), when `open` found a log, and at drain. An
-//! unreadable `queue.json` is renamed aside to `queue.json.corrupt.N`,
-//! never overwritten.
+//! machine's adopt edge). The reports are written whole through
+//! [`store::write_atomic`]. Both state files are a snapshot plus a
+//! journal, so a verb's persist costs its own change, not the whole
+//! state:
+//!
+//! * each queue mutation appends the job's changed record to
+//!   `queue.log`, a store line log ([`store::append_line`]); a served
+//!   job appends four (`Queued`, `Running`, `Merging`, `Completed`);
+//! * the cells a job adds are appended to `cache.log`
+//!   ([`store::append`]), and a job that adds none writes nothing.
+//!
+//! `open` loads each snapshot, replays its journal over it (the last
+//! record of each job wins, a damaged record is skipped), adopts, and
+//! then folds. The coordinator *folds* a journal — rewrites the
+//! snapshot through [`store::write_atomic`], then deletes the journal —
+//! when the journal would outnumber its snapshot (records against
+//! `queue.json`'s jobs, cells against `cache.bin`'s), after a failed
+//! append (whose torn tail nothing may follow), when `open` found a
+//! journal, and at drain; the cache also folds when the LRU bound
+//! evicted a cell, so no evicted cell survives in the log. Neither
+//! writer calls fsync: the files survive a process crash, not a power
+//! loss. An unreadable `queue.json` or `queue.log` is renamed aside to
+//! `<name>.corrupt.N`, never overwritten.
 //!
 //! The shared cache is the service's reason to exist as a *daemon*
 //! rather than a loop around `hmpt-fleet run`: each job is one
@@ -57,7 +70,10 @@ use crate::queue::{JobQueue, QueueConfig, QueueError, QueueSnapshot};
 use crate::state::{JobRecord, JobState, JobStats};
 use crate::wire::{ErrorKind, StatusView};
 
-/// The shared cache's snapshot and journal, in the state dir.
+/// The queue's and the shared cache's snapshots and journals, in the
+/// state dir.
+const QUEUE_JSON: &str = "queue.json";
+const QUEUE_LOG: &str = "queue.log";
 const CACHE_BIN: &str = "cache.bin";
 const CACHE_LOG: &str = "cache.log";
 
@@ -158,10 +174,22 @@ impl From<QueueError> for ServeError {
 
 struct Inner {
     queue: JobQueue,
+    /// What of `queue` is on disk.
+    queue_files: QueueFiles,
     draining: bool,
     /// Submission instants for the `serve.queue_wait` span; in-memory
     /// only — an adopted job's wait clock restarts at reopen.
     enqueued_at: BTreeMap<u64, Instant>,
+}
+
+/// What of the queue is on disk, in `queue.json` and `queue.log`.
+struct QueueFiles {
+    /// Jobs in `queue.json`, and records in `queue.log`.
+    snapshot_jobs: u64,
+    log_records: u64,
+    /// The log cannot be appended to — an append or a fold failed, or a
+    /// fold left the log behind — so the next persist folds.
+    must_fold: bool,
 }
 
 /// What of the shared cache is on disk, in `cache.bin` and `cache.log`.
@@ -216,6 +244,31 @@ fn quarantine(path: &Path) -> std::io::Result<PathBuf> {
     Ok(aside)
 }
 
+/// Move the unreadable queue file `what` at `path` aside for an
+/// operator ([`quarantine`]) and warn, or refuse to open the state dir
+/// if it cannot be moved.
+fn quarantine_unreadable(
+    path: &Path,
+    what: &str,
+    error: &dyn std::fmt::Display,
+) -> Result<(), ServeError> {
+    let aside = quarantine(path).map_err(|io| {
+        ServeError::Internal(format!(
+            "unreadable {what} {} ({error}) cannot be moved aside: {io}",
+            path.display()
+        ))
+    })?;
+    hmpt_obs::warn(
+        "serve.state",
+        format!(
+            "unreadable {what} {} moved to {} (cold start): {error}",
+            path.display(),
+            aside.display()
+        ),
+    );
+    Ok(())
+}
+
 fn tenant_ok(tenant: &str) -> bool {
     !tenant.is_empty()
         && tenant.len() <= 64
@@ -224,19 +277,22 @@ fn tenant_ok(tenant: &str) -> bool {
 
 impl Coordinator {
     /// Open (or create) a state directory and adopt whatever it holds:
-    /// the queue snapshot is reloaded, mid-flight jobs are re-queued,
-    /// and the shared cache is preloaded from `cache.bin`, then from
-    /// `cache.log`, which is then folded away. An unreadable cache file
-    /// is a cold start with a warning, not a refusal to serve — matching
-    /// the fleet's cache-preload contract; an unreadable queue snapshot
-    /// is a cold start too, after it is renamed aside.
+    /// the queue snapshot is reloaded and `queue.log` replayed over it,
+    /// mid-flight jobs are re-queued, and the shared cache is preloaded
+    /// from `cache.bin`, then from `cache.log`; each journal found is
+    /// then folded away. An unreadable cache file is a cold start with a
+    /// warning, not a refusal to serve — matching the fleet's
+    /// cache-preload contract; an unreadable queue file is renamed
+    /// aside, and the queue starts without what it held.
     pub fn open(cfg: CoordinatorConfig) -> Result<Coordinator, ServeError> {
         std::fs::create_dir_all(cfg.state_dir.join("reports")).map_err(|e| {
             ServeError::Internal(format!("create {}: {e}", cfg.state_dir.display()))
         })?;
 
-        let mut queue = JobQueue::new(QueueConfig { tenant_quota: cfg.tenant_quota });
-        let queue_path = cfg.state_dir.join("queue.json");
+        let queue_config = QueueConfig { tenant_quota: cfg.tenant_quota };
+        let mut queue = JobQueue::new(queue_config);
+        let mut snapshot_jobs = 0;
+        let queue_path = cfg.state_dir.join(QUEUE_JSON);
         if queue_path.exists() {
             let bytes = std::fs::read(&queue_path)
                 .map_err(|e| ServeError::Internal(format!("{}: {e}", queue_path.display())))?;
@@ -245,36 +301,41 @@ impl Coordinator {
             });
             match parsed {
                 Ok(snapshot) => {
-                    queue =
-                        JobQueue::restore(snapshot, QueueConfig { tenant_quota: cfg.tenant_quota });
-                    let adopted = queue.adopt_all();
-                    if adopted > 0 {
-                        hmpt_obs::info(
-                            "serve.adopt",
-                            format!("re-queued {adopted} job(s) interrupted mid-flight"),
+                    snapshot_jobs = snapshot.jobs.len() as u64;
+                    queue = JobQueue::restore(snapshot, queue_config);
+                }
+                // The next fold would overwrite the file and every job it
+                // names, so move it aside for an operator.
+                Err(e) => quarantine_unreadable(&queue_path, "queue snapshot", &e)?,
+            }
+        }
+        let log_path = cfg.state_dir.join(QUEUE_LOG);
+        let had_queue_log = log_path.exists();
+        if had_queue_log {
+            match store::read_lines::<JobRecord>(&log_path) {
+                Ok((records, skipped)) => {
+                    records.into_iter().for_each(|record| queue.replay(record));
+                    if skipped > 0 {
+                        hmpt_obs::warn(
+                            "serve.state",
+                            format!(
+                                "queue journal {}: {skipped} damaged record(s) skipped",
+                                log_path.display()
+                            ),
                         );
                     }
                 }
-                Err(e) => {
-                    // The next persist would overwrite the file and every
-                    // job it names, so move it aside for an operator.
-                    let aside = quarantine(&queue_path).map_err(|io| {
-                        ServeError::Internal(format!(
-                            "unreadable queue snapshot {} ({e}) cannot be moved aside: {io}",
-                            queue_path.display()
-                        ))
-                    })?;
-                    hmpt_obs::warn(
-                        "serve.state",
-                        format!(
-                            "unreadable queue snapshot {} moved to {} (cold start): {e}",
-                            queue_path.display(),
-                            aside.display()
-                        ),
-                    );
-                }
+                Err(e) => quarantine_unreadable(&log_path, "queue journal", &e)?,
             }
         }
+        let adopted = queue.adopt_all();
+        if adopted > 0 {
+            hmpt_obs::info(
+                "serve.adopt",
+                format!("re-queued {adopted} job(s) interrupted mid-flight"),
+            );
+        }
+        let queue_files = QueueFiles { snapshot_jobs, log_records: 0, must_fold: false };
 
         let cache = Arc::new(MeasurementCache::new());
         let snapshot =
@@ -295,14 +356,24 @@ impl Coordinator {
         hmpt_obs::gauge("queue.depth").set(queue.depth() as u64);
         let coordinator = Coordinator {
             cfg,
-            inner: Mutex::new(Inner { queue, draining: false, enqueued_at: BTreeMap::new() }),
+            inner: Mutex::new(Inner {
+                queue,
+                queue_files,
+                draining: false,
+                enqueued_at: BTreeMap::new(),
+            }),
             work: Condvar::new(),
             cache,
             journal: Mutex::new(journal),
         };
+        // Fold the replayed logs away, so nothing is ever appended after
+        // a tail a crash may have torn.
+        if had_queue_log {
+            if let Err(e) = coordinator.fold_queue(&mut coordinator.inner.lock().unwrap()) {
+                hmpt_obs::warn("serve.state", format!("queue journal not folded: {e}"));
+            }
+        }
         if had_log {
-            // Fold the replayed log away, so nothing is ever appended
-            // after a tail a crash may have torn.
             coordinator.persist_cache(false);
         }
         Ok(coordinator)
@@ -356,7 +427,7 @@ impl Coordinator {
         hmpt_obs::gauge("queue.depth").set(inner.queue.depth() as u64);
         hmpt_obs::counter("job.queued").incr();
         tenant_counter(tenant).incr();
-        if let Err(e) = self.persist_queue(&inner) {
+        if let Err(e) = self.persist_queue(&mut inner, id) {
             // Roll the admission back: an unpersisted job would silently
             // vanish on restart, which is worse than a typed refusal.
             let _ = inner.queue.cancel(id);
@@ -406,7 +477,7 @@ impl Coordinator {
         inner.enqueued_at.remove(&job);
         hmpt_obs::gauge("queue.depth").set(inner.queue.depth() as u64);
         hmpt_obs::counter("job.cancelled").incr();
-        self.persist_queue(&inner)
+        self.persist_queue(&mut inner, job)
     }
 
     /// Stop accepting work. The running job (if any) finishes; queued
@@ -443,12 +514,11 @@ impl Coordinator {
                     self.work.wait_timeout(inner, Duration::from_millis(200)).unwrap();
             }
         }
-        // Drained: one final persist of the queue, and a fold of the
-        // cache's journal, then the caller may exit. Queued jobs survive
-        // for the next open().
-        let inner = self.inner.lock().unwrap();
+        // Drained: fold the queue's and the cache's journals, then the
+        // caller may exit. Queued jobs survive for the next open().
+        let mut inner = self.inner.lock().unwrap();
         let queued = inner.queue.depth();
-        let persist = self.persist_queue(&inner);
+        let persist = self.fold_queue(&mut inner);
         drop(inner);
         self.persist_cache(true);
         match persist {
@@ -491,13 +561,53 @@ impl Coordinator {
         self.cfg.state_dir.join("reports").join(format!("job-{job}.json"))
     }
 
-    fn persist_queue(&self, inner: &Inner) -> Result<(), ServeError> {
+    /// Persist job `id`'s new state: append its record to `queue.log`,
+    /// or fold (see the module docs).
+    fn persist_queue(&self, inner: &mut Inner, id: u64) -> Result<(), ServeError> {
+        let files = &mut inner.queue_files;
+        if !files.must_fold && files.log_records < files.snapshot_jobs {
+            let log = self.cfg.state_dir.join(QUEUE_LOG);
+            let record = inner.queue.get(id).expect("a persisted job is in the queue");
+            match store::append_line(&log, record) {
+                Ok(()) => {
+                    files.log_records += 1;
+                    return Ok(());
+                }
+                Err(e) => hmpt_obs::warn(
+                    "serve.state",
+                    format!("queue journal append failed, folding instead: {}: {e}", log.display()),
+                ),
+            }
+        }
+        self.fold_queue(inner)
+    }
+
+    /// Rewrite `queue.json` from the queue, then delete `queue.log`. The
+    /// queue is on disk once `queue.json` is; a log left behind keeps the
+    /// next persist folding, and replays harmlessly
+    /// ([`JobQueue::replay`]).
+    fn fold_queue(&self, inner: &mut Inner) -> Result<(), ServeError> {
+        inner.queue_files.must_fold = true;
         let snapshot = inner.queue.snapshot();
         let json = serde_json::to_string_pretty(&snapshot)
             .map_err(|e| ServeError::Internal(format!("serialize queue snapshot: {e}")))?;
-        let path = self.cfg.state_dir.join("queue.json");
+        let path = self.cfg.state_dir.join(QUEUE_JSON);
         store::write_atomic(&path, json.as_bytes())
-            .map_err(|e| ServeError::Internal(format!("{}: {e}", path.display())))
+            .map_err(|e| ServeError::Internal(format!("{}: {e}", path.display())))?;
+        let log = self.cfg.state_dir.join(QUEUE_LOG);
+        let removed = match std::fs::remove_file(&log) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                hmpt_obs::warn("serve.state", format!("{}: {e}", log.display()));
+                false
+            }
+            _ => true,
+        };
+        inner.queue_files = QueueFiles {
+            snapshot_jobs: snapshot.jobs.len() as u64,
+            log_records: 0,
+            must_fold: !removed,
+        };
+        Ok(())
     }
 
     /// Bring the cache's files up to date: evict to the LRU bound, then
@@ -575,7 +685,7 @@ impl Coordinator {
             }
             hmpt_obs::gauge("queue.depth").set(inner.queue.depth() as u64);
             hmpt_obs::counter("job.running").incr();
-            if let Err(e) = self.persist_queue(&inner) {
+            if let Err(e) = self.persist_queue(&mut inner, id) {
                 hmpt_obs::warn("serve.state", format!("job {id}: {e}"));
             }
             record
@@ -593,7 +703,7 @@ impl Coordinator {
             if let Some(record) = inner.queue.get_mut(id) {
                 let _ = record.transition(JobState::Merging);
             }
-            if let Err(e) = self.persist_queue(&inner) {
+            if let Err(e) = self.persist_queue(&mut inner, id) {
                 hmpt_obs::warn("serve.state", format!("job {id}: {e}"));
             }
         }
@@ -629,7 +739,7 @@ impl Coordinator {
             record.stats = Some(stats);
         }
         hmpt_obs::counter("job.merged").incr();
-        if let Err(e) = self.persist_queue(&inner) {
+        if let Err(e) = self.persist_queue(&mut inner, id) {
             hmpt_obs::warn("serve.state", format!("job {id}: {e}"));
         }
     }
@@ -678,7 +788,7 @@ impl Coordinator {
             record.error = Some(message);
         }
         hmpt_obs::counter("job.failed").incr();
-        if let Err(e) = self.persist_queue(&inner) {
+        if let Err(e) = self.persist_queue(&mut inner, id) {
             hmpt_obs::warn("serve.state", format!("job {id}: {e}"));
         }
     }

@@ -9,10 +9,14 @@
 //! counts admissions, not completed history, so a tenant's slot frees
 //! the moment a job reaches a terminal state.
 //!
-//! The queue serializes to one JSON document ([`QueueSnapshot`]) that
-//! the coordinator writes through the store's temp + rename idiom after
-//! every mutation — crash durability is "reload the last snapshot",
-//! with [`JobQueue::adopt_all`] re-queueing whatever was mid-flight.
+//! The queue is durable as a snapshot plus a journal. Each mutation's
+//! changed [`JobRecord`] is appended to the coordinator's journal, a
+//! store line log; from time to time the coordinator *folds* it into
+//! one JSON document ([`QueueSnapshot`], written through the store's
+//! temp + rename idiom). Crash recovery reloads the snapshot
+//! ([`JobQueue::restore`]), replays the journal over it
+//! ([`JobQueue::replay`]), and re-queues whatever was mid-flight
+//! ([`JobQueue::adopt_all`]).
 
 use std::collections::BTreeMap;
 
@@ -182,6 +186,33 @@ impl JobQueue {
         let floor = jobs.keys().next_back().map(|id| id + 1).unwrap_or(1);
         JobQueue { next_id: snapshot.next_id.max(floor), jobs, config }
     }
+
+    /// Apply one journaled record over a restored queue (the restart
+    /// path, in journal order): the record replaces its job's, so the
+    /// last one wins. A record behind its job on the state graph is
+    /// ignored. A fold writes the snapshot and then deletes the journal,
+    /// so a crash between the two leaves records the snapshot already
+    /// covers, and they must not move a finished job back. The one
+    /// backward edge, adoption, is never journaled, and a reopen adopts
+    /// `Running` and `Merging` alike, so ignoring a re-claimed job's
+    /// `Running` behind its adopted `Merging` changes nothing.
+    pub fn replay(&mut self, record: JobRecord) {
+        if self.jobs.get(&record.id).is_some_and(|held| stage(record.state) < stage(held.state)) {
+            return;
+        }
+        self.next_id = self.next_id.max(record.id.saturating_add(1));
+        self.jobs.insert(record.id, record);
+    }
+}
+
+/// How far along the state graph a state lies.
+fn stage(state: JobState) -> u8 {
+    match state {
+        JobState::Queued => 0,
+        JobState::Running => 1,
+        JobState::Merging => 2,
+        JobState::Completed | JobState::Failed | JobState::Cancelled => 3,
+    }
 }
 
 #[cfg(test)]
@@ -266,5 +297,34 @@ mod tests {
         assert!(next > done);
         // Adopted jobs keep their priority order.
         assert_eq!(restored.next_runnable(), Some(running));
+    }
+
+    #[test]
+    fn replay_applies_the_last_record_and_never_moves_a_job_back() {
+        let mut q = queue(10);
+        let done = submit(&mut q, "a", 0);
+        let mut journal = vec![q.get(done).unwrap().clone()];
+        for s in [JobState::Running, JobState::Merging, JobState::Completed] {
+            q.get_mut(done).unwrap().transition(s).unwrap();
+            journal.push(q.get(done).unwrap().clone());
+        }
+        let fresh = JobRecord::new(7, "b".into(), 0, "spec".into(), "fp".into());
+        journal.push(fresh.clone());
+
+        // Over an empty snapshot, the journal alone rebuilds the queue.
+        let mut replayed = queue(10);
+        for record in journal.clone() {
+            replayed.replay(record);
+        }
+        assert_eq!(replayed.snapshot().jobs, vec![q.get(done).unwrap().clone(), fresh]);
+        assert_eq!(replayed.submit("c", 0, "s".into(), "fp".into()).unwrap(), 8);
+
+        // A journal left behind by a fold it predates changes nothing,
+        // even cut short of its job's last record.
+        let mut folded = JobQueue::restore(replayed.snapshot(), QueueConfig::default());
+        for record in journal.into_iter().take(2) {
+            folded.replay(record);
+        }
+        assert_eq!(folded.snapshot(), replayed.snapshot());
     }
 }

@@ -10,17 +10,20 @@
 //! its admission fingerprint. The shared cache's journal
 //! (`cache.log`) holds exactly each job's new cells, is replayed after a
 //! crash, never restores a cell the LRU bound evicted, and is not
-//! written by a warm job; an unreadable `queue.json` is moved aside.
+//! written by a warm job; the queue's journal (`queue.log`) holds
+//! exactly each job's state changes; an unreadable `queue.json` is
+//! moved aside.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use hmpt_core::scenario::MatrixReport;
+use hmpt_core::store;
 use hmpt_fleet::api::{self, Request, Response};
 use hmpt_fleet::spec::CampaignSpec;
-use hmpt_served::queue::{JobQueue, QueueConfig};
-use hmpt_served::state::{JobState, JobStats};
+use hmpt_served::queue::{JobQueue, QueueConfig, QueueSnapshot};
+use hmpt_served::state::{JobRecord, JobState, JobStats};
 use hmpt_served::{Client, ClientError, Coordinator, CoordinatorConfig, ErrorKind, Server};
 
 /// The small two-budget matrix every test submits (same family as
@@ -465,5 +468,44 @@ fn an_unreadable_queue_snapshot_is_quarantined_not_overwritten() {
         std::fs::read(dir.join("queue.json.corrupt.2")).expect("second quarantine"),
         not_utf8
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// On a daemon whose `queue.json` already holds a few jobs, a warm job
+/// leaves `queue.json`'s bytes be and appends exactly its own four state
+/// changes to `queue.log`; a drain folds the log into `queue.json`.
+#[test]
+fn a_served_job_appends_its_state_changes_to_the_queue_journal() {
+    let dir = temp_dir("queue-journal");
+    let (snapshot, log) = (dir.join("queue.json"), dir.join("queue.log"));
+    let drain = |coordinator: &Coordinator| {
+        coordinator.drain();
+        coordinator.run();
+        assert!(!log.exists(), "a drain folds the journal away");
+    };
+    let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("open");
+    for _ in 0..4 {
+        run_to_completion(&coordinator, SPEC_MG);
+    }
+    drain(&coordinator);
+    drop(coordinator);
+
+    let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("reopen");
+    let before = std::fs::read(&snapshot).expect("queue.json");
+    let (job, _) = coordinator.submit("ci", 0, SPEC_MG).expect("admitted");
+    coordinator.run_until_idle();
+    assert_eq!(std::fs::read(&snapshot).expect("queue.json"), before, "queue.json was rewritten");
+    let (records, skipped) = store::read_lines::<JobRecord>(&log).expect("queue.log");
+    assert_eq!(skipped, 0);
+    let changes: Vec<(u64, JobState)> = records.iter().map(|r| (r.id, r.state)).collect();
+    let expected = [JobState::Queued, JobState::Running, JobState::Merging, JobState::Completed];
+    assert_eq!(changes, expected.map(|state| (job, state)));
+    assert_eq!(records.last().and_then(|r| r.stats), Some(stats_of(&coordinator, job)));
+
+    drain(&coordinator);
+    let text = std::fs::read_to_string(&snapshot).expect("queue.json");
+    let folded: QueueSnapshot = serde_json::from_str(&text).expect("queue.json parses");
+    assert_eq!(folded.jobs.len(), 5);
+    assert!(folded.jobs.iter().all(|j| j.state == JobState::Completed), "{folded:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,15 +1,22 @@
 //! Property tests for the campaign-service protocol: arbitrary
 //! requests and responses round-trip through the line-framed wire
 //! codec bit-for-bit; truncated, garbage, or mis-versioned lines decode
-//! to typed [`Malformed`] errors (never a panic); and a live TCP accept
+//! to typed [`Malformed`] errors (never a panic); a live TCP accept
 //! loop answers malformed lines with typed error frames while keeping
-//! the connection — and the daemon — alive.
+//! the connection — and the daemon — alive; and a coordinator that dies
+//! without a drain, its queue journal cut or flipped, reopens with
+//! every persisted job state but the damaged one.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hmpt_served::state::{JobStats, JobStatus};
+use hmpt_core::store;
+use hmpt_served::queue::QueueSnapshot;
+use hmpt_served::state::{JobRecord, JobStats, JobStatus};
 use hmpt_served::wire::{
     self, ErrorKind, Malformed, RawFrame, StatusView, WireError, WireRequest, WireResponse,
     PROTOCOL_VERSION,
@@ -287,4 +294,202 @@ fn live_server_survives_malformed_lines_on_one_connection() {
     drop(reader);
     drop(writer);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cheap matrix job: one campaign group, no verify re-run.
+const CRASH_SPEC: &str = "\
+mode = \"matrix\"
+zoo = [\"xeon-max\"]
+workloads = [\"mg\"]
+budgets = [\"none\"]
+policies = [\"fixed\"]
+
+[execution]
+verify = false
+";
+
+/// One verb of a crash-test run.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Submit a job at this priority.
+    Submit(i64),
+    /// Cancel the submitted job at this index (modulo their count).
+    Cancel(usize),
+    /// Claim and run the next queued job, if any.
+    Run,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        2 => (-2i64..3).prop_map(Step::Submit),
+        1 => (0usize..16).prop_map(Step::Cancel),
+        1 => Just(Step::Run),
+    ]
+}
+
+/// What the crash does to `queue.log`.
+#[derive(Debug, Clone)]
+enum Damage {
+    None,
+    /// Cut the log at this byte (modulo its length + 1).
+    Cut(usize),
+    /// XOR the mask into the log's byte at this index (modulo the count
+    /// of bytes that are not line breaks, counting only those).
+    Flip(usize, u8),
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        Just(Damage::None),
+        (0usize..1 << 20).prop_map(Damage::Cut),
+        (0usize..1 << 20, 1u8..=255).prop_map(|(at, mask)| Damage::Flip(at, mask)),
+    ]
+}
+
+/// Each job's last state in `changes`.
+fn last_states(changes: &[(u64, JobState)]) -> BTreeMap<u64, JobState> {
+    changes.iter().copied().collect()
+}
+
+/// The job states a reopen derives: mid-flight jobs re-queued.
+fn adopted(mut states: BTreeMap<u64, JobState>) -> BTreeMap<u64, JobState> {
+    for state in states.values_mut() {
+        if matches!(state, JobState::Running | JobState::Merging) {
+            *state = JobState::Queued;
+        }
+    }
+    states
+}
+
+fn states_of(coordinator: &Coordinator) -> BTreeMap<u64, JobState> {
+    coordinator.status(None).expect("status").jobs.iter().map(|j| (j.job, j.state)).collect()
+}
+
+/// The job records in `queue.json`; none if there is no file.
+fn snapshot_jobs(path: &std::path::Path) -> Vec<JobRecord> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => serde_json::from_str::<QueueSnapshot>(&text).expect("queue.json parses").jobs,
+        Err(_) => Vec::new(),
+    }
+}
+
+/// The byte range of each line of `bytes`, without its line break.
+fn line_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut start = 0;
+    for (at, _) in bytes.iter().enumerate().filter(|(_, &b)| b == b'\n') {
+        spans.push((start, at));
+        start = at + 1;
+    }
+    if start < bytes.len() {
+        spans.push((start, bytes.len()));
+    }
+    spans
+}
+
+fn crash_dir() -> PathBuf {
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let case = CASE.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("hmpt-served-crash-{}-{case}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random submit/run/cancel sequences, then a crash: the coordinator
+    /// is dropped without a drain, and its queue journal is maybe cut
+    /// at a random byte or has one byte flipped. `queue.log` holds
+    /// exactly the last acknowledged state changes and `queue.json`
+    /// every one before them. The reopened queue holds each job in its
+    /// last persisted state, mid-flight jobs adopted to `Queued`; damage
+    /// loses exactly the records it hits. After a drain, `queue.json`
+    /// alone holds the queue.
+    #[test]
+    fn a_crashed_queue_reopens_with_every_persisted_job_state(
+        steps in prop::collection::vec(arb_step(), 4..16),
+        damage in arb_damage(),
+    ) {
+        let dir = crash_dir();
+        let (snapshot, log) = (dir.join("queue.json"), dir.join("queue.log"));
+        let config = CoordinatorConfig { tenant_quota: 64, ..CoordinatorConfig::new(&dir) };
+        let coordinator = Coordinator::open(config.clone()).expect("open");
+        // Every acknowledged state change, in order.
+        let mut changes: Vec<(u64, JobState)> = Vec::new();
+        let mut submitted: Vec<u64> = Vec::new();
+        for step in &steps {
+            match *step {
+                Step::Submit(priority) => {
+                    let (id, _) = coordinator.submit("t", priority, CRASH_SPEC).expect("admitted");
+                    submitted.push(id);
+                    changes.push((id, JobState::Queued));
+                }
+                Step::Cancel(at) => {
+                    if let Some(&id) = submitted.get(at % submitted.len().max(1)) {
+                        if coordinator.cancel(id).is_ok() {
+                            changes.push((id, JobState::Cancelled));
+                        }
+                    }
+                }
+                Step::Run => {
+                    let before = states_of(&coordinator);
+                    if coordinator.run_one() {
+                        let after = states_of(&coordinator);
+                        let id = *after.keys().find(|id| before[id] != after[id]).expect("a job ran");
+                        prop_assert_eq!(after[&id], JobState::Completed);
+                        let run = [JobState::Running, JobState::Merging, JobState::Completed];
+                        changes.extend(run.map(|state| (id, state)));
+                    }
+                }
+            }
+        }
+
+        let (records, skipped) = store::read_lines::<JobRecord>(&log).expect("queue.log");
+        prop_assert_eq!(skipped, 0);
+        prop_assert!(records.len() <= changes.len());
+        let folded = changes.len() - records.len();
+        let logged: Vec<(u64, JobState)> = records.iter().map(|r| (r.id, r.state)).collect();
+        prop_assert_eq!(&logged[..], &changes[folded..]);
+        let on_disk = snapshot_jobs(&snapshot);
+        prop_assert_eq!(
+            on_disk.iter().map(|j| (j.id, j.state)).collect::<BTreeMap<_, _>>(),
+            last_states(&changes[..folded])
+        );
+        drop(coordinator);
+
+        let mut bytes = std::fs::read(&log).unwrap_or_default();
+        let spans = line_spans(&bytes);
+        prop_assert_eq!(spans.len(), records.len());
+        let survivors: Vec<usize> = match damage {
+            Damage::Cut(at) if !bytes.is_empty() => {
+                let cut = at % (bytes.len() + 1);
+                bytes.truncate(cut);
+                (0..spans.len()).filter(|&i| spans[i].1 <= cut).collect()
+            }
+            Damage::Flip(at, mask) if !bytes.is_empty() => {
+                let inside: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] != b'\n').collect();
+                let at = inside[at % inside.len()];
+                bytes[at] ^= mask;
+                (0..spans.len()).filter(|&i| !(spans[i].0..spans[i].1).contains(&at)).collect()
+            }
+            _ => (0..spans.len()).collect(),
+        };
+        if log.exists() {
+            std::fs::write(&log, &bytes).expect("damage the log");
+        }
+        let mut persisted = changes[..folded].to_vec();
+        persisted.extend(survivors.iter().map(|&i| changes[folded + i]));
+
+        let reopened = Coordinator::open(config).expect("reopen");
+        prop_assert_eq!(states_of(&reopened), adopted(last_states(&persisted)));
+        prop_assert!(!log.exists(), "open folds the journal it found");
+
+        reopened.drain();
+        reopened.run();
+        prop_assert!(!log.exists(), "a drain folds the journal away");
+        let statuses: Vec<JobStatus> = snapshot_jobs(&snapshot).iter().map(JobRecord::status).collect();
+        prop_assert_eq!(statuses, reopened.status(None).expect("status").jobs);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
