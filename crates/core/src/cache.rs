@@ -23,8 +23,11 @@
 //! `hmpt-fleet` service layer) so any campaign front end — a
 //! [`CampaignPlan`], the online tuner, the fleet — can interpose it
 //! through [`CachingExecutor`]. The four fingerprints are taken once
-//! per campaign by [`CampaignPlan`]; building a cell key costs two
-//! 64-bit hash mixes, not a serialization of the whole object tree.
+//! per campaign by [`CampaignPlan`], the `groups_fp ⊕ config` word once
+//! per configuration, and a cell's own key word is one 8-byte hash of
+//! its seed — never a serialization of the whole object tree. The map
+//! is hashed by [`WordHasher`](hmpt_sim::fingerprint::WordHasher): its
+//! keys already are avalanche-mixed fingerprints.
 //!
 //! Infeasible cells (pool exhaustion under capacity pressure) are cached
 //! too: re-asking whether a placement fits is as redundant as re-timing
@@ -33,11 +36,11 @@
 //! [`CachingExecutor`]: crate::exec::CachingExecutor
 //! [`CampaignPlan`]: crate::campaign::CampaignPlan
 
-use std::collections::{hash_map, HashMap};
+use std::collections::hash_map;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use hmpt_sim::fingerprint::Fingerprint;
+use hmpt_sim::fingerprint::{Fingerprint, WordMap};
 use serde::{Deserialize, Serialize};
 
 use crate::error::TunerError;
@@ -97,6 +100,18 @@ pub enum Lookup {
     Miss { added: bool },
 }
 
+/// How [`MeasurementCache::get_or_measure_batch`] answered a batch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct BatchLookup {
+    /// Cells answered from the cache.
+    pub(crate) hits: u64,
+    /// Cells measured.
+    pub(crate) misses: u64,
+    /// Keys the measured cells added (a racing consult of the same key
+    /// may have stored it first).
+    pub(crate) added: u64,
+}
+
 /// A point on a cache's use-clock ([`MeasurementCache::mark`]); the
 /// cells inserted after it are [`MeasurementCache::added_since`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -113,7 +128,7 @@ fn hit_miss_counters() -> &'static (hmpt_obs::Counter, hmpt_obs::Counter) {
 /// Thread-safe content-addressed store of measured cells.
 #[derive(Debug, Default)]
 pub struct MeasurementCache {
-    map: Mutex<HashMap<CellKey, Entry>>,
+    map: Mutex<WordMap<CellKey, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Monotonic use-clock behind the per-entry recency stamps.
@@ -131,12 +146,8 @@ impl MeasurementCache {
 
     /// Look up a cell; on a miss, run `measure` and remember its result.
     /// Also says how the lookup was answered, so a caller sharing the
-    /// cache with concurrent callers can count its own traffic.
-    ///
-    /// The measurement runs outside the lock, so concurrent workers never
-    /// serialize on the cache. Two workers racing on the same key may
-    /// both measure; both produce the identical (seeded, deterministic)
-    /// outcome, so the duplicate write is harmless.
+    /// cache with concurrent callers can count its own traffic. A batch
+    /// of one (`get_or_measure_batch`).
     pub fn get_or_measure<F>(
         &self,
         key: CellKey,
@@ -145,21 +156,112 @@ impl MeasurementCache {
     where
         F: FnOnce() -> Result<CellOutcome, TunerError>,
     {
-        let (hit, miss) = hit_miss_counters();
+        let (mut outcomes, batch) = self.get_or_measure_batch(1, |_| key, |_| vec![measure()]);
+        let lookup = match batch.hits {
+            1 => Lookup::Hit,
+            _ => Lookup::Miss { added: batch.added == 1 },
+        };
+        (outcomes.pop().expect("one cell"), lookup)
+    }
+
+    /// Look up and measure a batch of `n` cells with two lock
+    /// acquisitions and one update of each counter, not two of each per
+    /// cell: the concurrent workers of a run share the lock and the
+    /// counters, and per-cell updates bounce them between CPUs.
+    ///
+    /// `key(i)` is cell `i`'s key. The cells the cache does not hold
+    /// are measured together by `measure_missing`, which gets their
+    /// indices in order and returns their outcomes in the same order,
+    /// outside the lock. Two workers racing on the same key may both
+    /// measure it; both produce the identical (seeded, deterministic)
+    /// outcome, so the duplicate write is harmless. A key repeated
+    /// within the batch is measured once and its later cells count as
+    /// hits, as a serial per-cell consult would count them. Hits are
+    /// stamped in cell order at the lookup, misses when they are stored.
+    pub(crate) fn get_or_measure_batch<K, M>(
+        &self,
+        n: usize,
+        key: K,
+        measure_missing: M,
+    ) -> (Vec<Result<CellOutcome, TunerError>>, BatchLookup)
+    where
+        K: Fn(usize) -> CellKey,
+        M: FnOnce(&[usize]) -> Vec<Result<CellOutcome, TunerError>>,
+    {
+        let mut found: Vec<Option<Result<CellOutcome, TunerError>>> = Vec::with_capacity(n);
+        let mut missed: Vec<usize> = Vec::new();
         {
             let mut map = self.map.lock().expect("cache poisoned");
-            if let Some(entry) = map.get_mut(&key) {
-                entry.last_used = self.tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                hit.incr();
-                return (entry.value.clone(), Lookup::Hit);
+            let base = self.clock.fetch_add(n as u64, Ordering::Relaxed);
+            for i in 0..n {
+                match map.get_mut(&key(i)) {
+                    Some(entry) => {
+                        entry.last_used = base + i as u64;
+                        found.push(Some(entry.value.clone()));
+                    }
+                    None => {
+                        missed.push(i);
+                        found.push(None);
+                    }
+                }
             }
         }
-        let outcome = measure();
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        miss.incr();
-        let added = self.store(key, outcome.clone());
-        (outcome, Lookup::Miss { added })
+
+        // Later copies of a missed key wait for its first copy.
+        let mut copies: Vec<(usize, usize)> = Vec::new();
+        if missed.len() > 1 {
+            let mut first: WordMap<CellKey, usize> = WordMap::default();
+            missed.retain(|&i| match first.entry(key(i)) {
+                hash_map::Entry::Occupied(slot) => {
+                    copies.push((i, *slot.get()));
+                    false
+                }
+                hash_map::Entry::Vacant(slot) => {
+                    slot.insert(i);
+                    true
+                }
+            });
+        }
+
+        let mut added = 0;
+        if !missed.is_empty() {
+            let measured = measure_missing(&missed);
+            assert_eq!(measured.len(), missed.len(), "one outcome per missed cell");
+            let mut map = self.map.lock().expect("cache poisoned");
+            let base = self.clock.fetch_add(missed.len() as u64, Ordering::Relaxed);
+            for (j, (&i, outcome)) in missed.iter().zip(measured).enumerate() {
+                let now = base + j as u64;
+                match map.entry(key(i)) {
+                    hash_map::Entry::Occupied(mut slot) => {
+                        let entry = slot.get_mut();
+                        entry.value = outcome.clone();
+                        entry.last_used = now;
+                    }
+                    hash_map::Entry::Vacant(slot) => {
+                        slot.insert(Entry {
+                            value: outcome.clone(),
+                            last_used: now,
+                            inserted: now,
+                        });
+                        added += 1;
+                    }
+                }
+                found[i] = Some(outcome);
+            }
+        }
+        for (i, first) in copies {
+            found[i] = found[first].clone();
+        }
+
+        let lookup =
+            BatchLookup { hits: (n - missed.len()) as u64, misses: missed.len() as u64, added };
+        self.hits.fetch_add(lookup.hits, Ordering::Relaxed);
+        self.misses.fetch_add(lookup.misses, Ordering::Relaxed);
+        let (hit, miss) = hit_miss_counters();
+        hit.add(lookup.hits);
+        miss.add(lookup.misses);
+        let outcomes = found.into_iter().map(|o| o.expect("every cell answered")).collect();
+        (outcomes, lookup)
     }
 
     /// Peek without measuring (still counts as a use for recency).
@@ -374,6 +476,55 @@ mod tests {
         let added: Vec<CellKey> = cache.added_since(mark).into_iter().map(|(k, _)| k).collect();
         assert_eq!(added, vec![key(5, 0, 0, 0), key(9, 0, 0, 0)]);
         assert!(cache.added_since(cache.mark()).is_empty());
+    }
+
+    #[test]
+    fn a_batch_answers_and_counts_like_per_cell_lookups() {
+        let (batched, single) = (MeasurementCache::new(), MeasurementCache::new());
+        for c in [&batched, &single] {
+            c.insert(key(2, 0, 0, 0), cell(2.0));
+            c.insert(key(5, 0, 0, 0), cell(5.0));
+        }
+        // Two hits, a key repeated within the batch, and an error.
+        let keys: Vec<CellKey> = [1, 2, 3, 5, 3, 4].iter().map(|&k| key(k, 0, 0, 0)).collect();
+        let measure = |k: &CellKey| match k.0.raw() {
+            4 => Err(TunerError::EmptyWorkload),
+            k => cell(k as f64),
+        };
+        let mark = batched.mark();
+        let mut asked = Vec::new();
+        let (outcomes, lookup) = batched.get_or_measure_batch(
+            keys.len(),
+            |i| keys[i],
+            |missed| {
+                asked.extend_from_slice(missed);
+                missed.iter().map(|&i| measure(&keys[i])).collect()
+            },
+        );
+        assert_eq!(asked, vec![0, 2, 5], "each missed key once, in cell order");
+        assert_eq!(lookup, BatchLookup { hits: 3, misses: 3, added: 3 });
+
+        for (k, batch_outcome) in keys.iter().zip(&outcomes) {
+            let (one, _) = single.get_or_measure(*k, || measure(k));
+            match (batch_outcome, one) {
+                (Ok(a), Ok(b)) => assert_eq!(a.time_s.to_bits(), b.time_s.to_bits()),
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => panic!("{a:?} vs {b:?}"),
+            }
+        }
+        assert_eq!(batched.stats(), single.stats());
+        let added: Vec<CellKey> = batched.added_since(mark).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(added, vec![key(1, 0, 0, 0), key(3, 0, 0, 0), key(4, 0, 0, 0)]);
+    }
+
+    #[test]
+    fn a_batch_of_hits_measures_nothing() {
+        let cache = MeasurementCache::new();
+        cache.insert(key(1, 0, 0, 0), cell(1.0));
+        let (outcomes, lookup) =
+            cache.get_or_measure_batch(2, |_| key(1, 0, 0, 0), |_| unreachable!("every cell hits"));
+        assert_eq!(outcomes.len(), 2);
+        assert_eq!(lookup, BatchLookup { hits: 2, misses: 0, added: 0 });
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //!
 //! Every cell carries its content key. The four fingerprints behind it
 //! (machine, spec, allocation groups, noise model) are taken once per
-//! plan, and the configuration word and the cell seed are mixed in per
-//! cell. A configuration's placement plan is a pure function of spec,
-//! groups and configuration, so the key never builds one: a key costs
-//! two 64-bit hash mixes, which keeps consulting the
+//! plan, together with the hash state of each `⊕` after its constant
+//! first word ([`Combiner`]). The configuration word is mixed in once
+//! per configuration and the cell seed once per cell, each an 8-byte
+//! hash with the bits of [`Fingerprint::combine`]. A configuration's
+//! placement plan is a pure function of spec, groups and configuration,
+//! so the key never builds one. That keeps consulting the
 //! [`MeasurementCache`](crate::cache::MeasurementCache) through a
 //! [`CachingExecutor`](crate::exec::CachingExecutor) cheap.
 //!
@@ -32,11 +34,10 @@
 //! how many simulated runs it costs ([`CampaignResult::executed_runs`]
 //! vs [`CampaignResult::planned_runs`]).
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use hmpt_alloc::plan::PlacementPlan;
-use hmpt_sim::fingerprint::Fingerprint;
+use hmpt_sim::fingerprint::{Combiner, Fingerprint, WordMap};
 use hmpt_sim::machine::Machine;
 use hmpt_workloads::model::WorkloadSpec;
 
@@ -253,11 +254,13 @@ pub struct CampaignPlan<'a> {
     configs: ConfigSet,
     machine_fp: Fingerprint,
     spec_fp: Fingerprint,
-    groups_fp: Fingerprint,
-    noise_fp: Fingerprint,
+    /// `groups_fp ⊕ ·` and `noise_fp ⊕ ·`, with the constant first word
+    /// already hashed.
+    groups_key: Combiner,
+    noise_key: Combiner,
     /// Per-configuration placement plan for the naive pipeline, built
     /// on first touch and shared by all the configuration's repetitions.
-    plans: Mutex<HashMap<u64, Arc<PlacementPlan>>>,
+    plans: Mutex<WordMap<u64, Arc<PlacementPlan>>>,
     /// Whether [`measure_cell`](Self::measure_cell) may answer through
     /// the batched cold-path kernel. Purely a scheduling choice — the
     /// kernel is bit-identical by contract and the cache keys never see
@@ -319,9 +322,9 @@ impl<'a> CampaignPlan<'a> {
             configs,
             machine_fp: machine.fingerprint(),
             spec_fp: spec.fingerprint(),
-            groups_fp: Fingerprint::of(groups),
-            noise_fp: Fingerprint::of(&cfg.noise),
-            plans: Mutex::new(HashMap::new()),
+            groups_key: Fingerprint::of(groups).combiner(),
+            noise_key: Fingerprint::of(&cfg.noise).combiner(),
+            plans: Mutex::new(WordMap::default()),
             fast_path: true,
             fast: OnceLock::new(),
         }
@@ -385,17 +388,23 @@ impl<'a> CampaignPlan<'a> {
     /// The cell of one (configuration, repetition) pair, with its
     /// derived seed and content key.
     pub fn cell(&self, config: Config, rep: usize) -> CellSpec {
+        self.cell_keyed(config, self.config_key(config), rep)
+    }
+
+    /// The `groups_fp ⊕ config` word of a configuration's cell keys,
+    /// shared by all its repetitions.
+    fn config_key(&self, config: Config) -> Fingerprint {
+        self.groups_key.combine(config.0)
+    }
+
+    /// [`Self::cell`], given the configuration's [`Self::config_key`].
+    fn cell_keyed(&self, config: Config, config_key: Fingerprint, rep: usize) -> CellSpec {
         let seed = self.cfg.cell_seed(config, rep);
         CellSpec {
             config,
             rep,
             seed,
-            key: (
-                self.machine_fp,
-                self.spec_fp,
-                self.groups_fp.combine(config.0),
-                self.noise_fp.combine(seed),
-            ),
+            key: (self.machine_fp, self.spec_fp, config_key, self.noise_key.combine(seed)),
         }
     }
 
@@ -403,8 +412,11 @@ impl<'a> CampaignPlan<'a> {
     /// repetition-minor — the campaign's canonical order.
     pub fn cells(&self) -> impl Iterator<Item = CellSpec> + '_ {
         let reps = self.policy.planned_reps(self.cfg.runs_per_config);
-        (0..self.configs.len())
-            .flat_map(move |ci| (0..reps).map(move |rep| self.cell(self.configs.get(ci), rep)))
+        (0..self.configs.len()).flat_map(move |ci| {
+            let config = self.configs.get(ci);
+            let config_key = self.config_key(config);
+            (0..reps).map(move |rep| self.cell_keyed(config, config_key, rep))
+        })
     }
 
     /// Simulate one cell (ignoring any cache; executors interpose
@@ -479,7 +491,9 @@ impl<'a> CampaignPlan<'a> {
         config: Config,
     ) -> Result<ConfigMeasurement, TunerError> {
         let reps = self.cfg.runs_per_config.max(1);
-        let cells: Vec<CellSpec> = (0..reps).map(|rep| self.cell(config, rep)).collect();
+        let config_key = self.config_key(config);
+        let cells: Vec<CellSpec> =
+            (0..reps).map(|rep| self.cell_keyed(config, config_key, rep)).collect();
         let outcomes = self.run_cells(exec, &cells);
         assemble_config(config, &outcomes)
     }
@@ -550,13 +564,15 @@ impl<'a> CampaignPlan<'a> {
         let min_reps = min_reps.min(max_reps);
         let mut state = vec![State::Active; n_cfg];
         let mut outcomes: Vec<Vec<CellOutcome>> = vec![Vec::new(); n_cfg];
+        let config_keys: Vec<Fingerprint> =
+            (0..n_cfg).map(|ci| self.config_key(self.configs.get(ci))).collect();
         let mut executed = 0usize;
         let chunk = chunk.max(1);
 
         for rep in 0..max_reps {
             let round: Vec<(usize, CellSpec)> = (0..n_cfg)
                 .filter(|&ci| state[ci] == State::Active)
-                .map(|ci| (ci, self.cell(self.configs.get(ci), rep)))
+                .map(|ci| (ci, self.cell_keyed(self.configs.get(ci), config_keys[ci], rep)))
                 .collect();
             if round.is_empty() {
                 break;

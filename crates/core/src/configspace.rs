@@ -40,6 +40,10 @@ pub const MAX_GROUPS: usize = 24;
 /// Marker bit distinguishing mixed-radix words from plain bitmasks.
 const MARKER: u64 = 1 << 63;
 
+/// Most digits a configuration word holds: one bit per group in the
+/// binary form. Digit vectors are built on the stack at this size.
+const WORD_DIGITS: usize = 64;
+
 /// Largest group count whose full base-`n_pools` enumeration stays
 /// within the two-pool budget of `2^MAX_GROUPS` configurations
 /// (24 at P=2, 15 at P=3, 12 at P=4).
@@ -93,7 +97,7 @@ impl Config {
 
     /// Canonical encoding of a digit vector: plain bitmask when every
     /// digit is ≤ 1, the marker form otherwise.
-    fn from_digits(digits: &[u8]) -> Config {
+    pub(crate) fn from_digits(digits: &[u8]) -> Config {
         if digits.iter().all(|&d| d <= 1) {
             let mut w = 0u64;
             for (g, &d) in digits.iter().enumerate() {
@@ -114,18 +118,17 @@ impl Config {
         }
     }
 
-    /// The digit vector over the first `n` groups.
-    fn digits(&self, n: usize) -> Vec<u8> {
-        (0..n).map(|g| self.digit(g)).collect()
-    }
-
     /// This configuration with `group`'s placement replaced by pool
     /// index `d`, re-encoded canonically.
     pub fn with_digit(self, group: usize, d: u8) -> Config {
         let span = if self.is_mixed() { MAX_GROUPS } else { 32 };
-        let mut digits = self.digits(span.max(group + 1));
+        let n = span.max(group + 1);
+        let mut digits = [0u8; WORD_DIGITS];
+        for (g, slot) in digits[..n].iter_mut().enumerate() {
+            *slot = self.digit(g);
+        }
         digits[group] = d;
-        Config::from_digits(&digits)
+        Config::from_digits(&digits[..n])
     }
 
     /// Whether `group` is in HBM.
@@ -235,13 +238,15 @@ impl Config {
     /// `n_pools` pools (O(G)). For `n_pools = 2` this is `Config(rank)`.
     pub fn from_rank(rank: u64, n_groups: usize, n_pools: usize) -> Config {
         let p = n_pools as u64;
-        let mut digits = vec![0u8; n_groups];
+        // A u64 has at most 64 base-`p` digits for `p ≥ 2`: every digit
+        // past the 64th is 0, so the stack array holds every rank.
+        let digits = &mut [0u8; WORD_DIGITS][..n_groups.min(WORD_DIGITS)];
         let mut r = rank;
         for d in digits.iter_mut() {
             *d = (r % p) as u8;
             r /= p;
         }
-        Config::from_digits(&digits)
+        Config::from_digits(digits)
     }
 
     /// The placement plan realizing this configuration. For binary

@@ -18,8 +18,9 @@
 //! the executor layer (instead of inside one front end) means the
 //! campaign plan, the online tuner and the fleet share the same cache
 //! plumbing. Every cell reaches every executor with its real content
-//! key: deriving one costs two hash mixes, so plain executors simply
-//! ignore it.
+//! key: deriving one costs one 8-byte hash of the cell's seed (its
+//! configuration's word is hashed once per configuration), so plain
+//! executors simply ignore it.
 //!
 //! This module is the in-tree home of the abstraction so the tuner
 //! pipeline ([`crate::campaign`], [`crate::driver`], [`crate::online`])
@@ -30,7 +31,7 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::cache::{CacheStats, Lookup, MeasurementCache};
+use crate::cache::{CacheStats, MeasurementCache};
 use crate::campaign::CellSpec;
 use crate::error::TunerError;
 use crate::measure::CellOutcome;
@@ -174,6 +175,10 @@ impl CellExecutor for ExecutorKind {
 /// noise ⊕ seed — a hit returns the bit-identical outcome the run
 /// would have produced.
 ///
+/// A batch of cells consults the cache once (`get_or_measure_batch`):
+/// one locked lookup pass, the misses through the wrapped executor, one
+/// locked store pass.
+///
 /// The adapter counts its own lookups ([`Self::stats`]): the fleet
 /// gives each job one, so a job's cache traffic stays its own while
 /// other jobs use the same cache at the same time.
@@ -222,22 +227,22 @@ impl CellExecutor for CachingExecutor {
         cells: &[CellSpec],
         measure: &(dyn Fn(&CellSpec) -> Result<CellOutcome, TunerError> + Sync),
     ) -> Vec<Result<CellOutcome, TunerError>> {
-        self.inner.run(cells.len(), |i| {
-            // The span sits inside the cache consult: a hit costs no
-            // simulate span, so `exec.cell` counts actual simulations.
-            let (outcome, lookup) = self.cache.get_or_measure(cells[i].key, || {
-                let _cell = hmpt_obs::span("exec.cell");
-                measure(&cells[i])
-            });
-            match lookup {
-                Lookup::Hit => self.hits.fetch_add(1, Ordering::Relaxed),
-                Lookup::Miss { added } => {
-                    self.added.fetch_add(u64::from(added), Ordering::Relaxed);
-                    self.misses.fetch_add(1, Ordering::Relaxed)
-                }
-            };
-            outcome
-        })
+        let (outcomes, lookup) = self.cache.get_or_measure_batch(
+            cells.len(),
+            |i| cells[i].key,
+            |missed| {
+                // The span sits inside the cache consult: a hit costs no
+                // simulate span, so `exec.cell` counts actual simulations.
+                self.inner.run(missed.len(), |j| {
+                    let _cell = hmpt_obs::span("exec.cell");
+                    measure(&cells[missed[j]])
+                })
+            },
+        );
+        self.hits.fetch_add(lookup.hits, Ordering::Relaxed);
+        self.misses.fetch_add(lookup.misses, Ordering::Relaxed);
+        self.added.fetch_add(lookup.added, Ordering::Relaxed);
+        outcomes
     }
 
     fn describe(&self) -> String {

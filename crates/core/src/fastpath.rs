@@ -45,12 +45,13 @@
 //!
 //! [`run_once`]: hmpt_workloads::runner::run_once
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Mutex;
 
 use hmpt_alloc::error::AllocError;
 use hmpt_alloc::vspace::PAGE;
 use hmpt_sim::fastpath::{phase_time_flat, MachineCtx, PhaseAccum, PhaseTerms, TrafficDelta};
+use hmpt_sim::fingerprint::WordMap;
 use hmpt_sim::machine::Machine;
 use hmpt_sim::noise::NoiseModel;
 use hmpt_sim::pool::{PoolKind, MAX_POOLS};
@@ -61,6 +62,9 @@ use hmpt_workloads::runner::perturb_model_time;
 use crate::configspace::{Config, MAX_GROUPS};
 use crate::grouping::AllocationGroup;
 use crate::measure::{CampaignConfig, CellOutcome};
+
+/// Group ids a compiled campaign accepts: the bits of a `u32` word.
+const WORD_GROUPS: usize = 32;
 
 /// Deterministic per-configuration evaluation, shared by all its
 /// repetitions.
@@ -112,7 +116,7 @@ struct WalkState {
     /// live accumulators.
     current: Vec<u8>,
     accums: Vec<PhaseAccum>,
-    memo: HashMap<u64, Result<CellTemplate, AllocError>>,
+    memo: WordMap<u64, Result<CellTemplate, AllocError>>,
 }
 
 /// A campaign compiled for batched evaluation. Built once per
@@ -169,7 +173,7 @@ impl FastCampaign {
         let mut alloc_group: Vec<Option<usize>> = vec![None; spec.allocations.len()];
         let mut group_bytes = vec![0u64; groups.len()];
         for (pos, g) in groups.iter().enumerate() {
-            if g.id >= 32 || group_mask >> g.id & 1 == 1 {
+            if g.id >= WORD_GROUPS || group_mask >> g.id & 1 == 1 {
                 return None;
             }
             // Mixed (≥3-pool) words store two bits per digit, so far-tier
@@ -262,7 +266,7 @@ impl FastCampaign {
             group_bytes,
             total_alloc_bytes,
             phases,
-            walk: Mutex::new(WalkState { current, accums, memo: HashMap::new() }),
+            walk: Mutex::new(WalkState { current, accums, memo: WordMap::default() }),
         })
     }
 
@@ -274,14 +278,11 @@ impl FastCampaign {
         if !config.is_mixed() {
             return config.0 & self.group_mask;
         }
-        let mut restricted = Config::DDR_ONLY;
+        let mut digits = [0u8; WORD_GROUPS];
         for &id in &self.group_bits {
-            let d = config.digit(id);
-            if d != 0 {
-                restricted = restricted.with_digit(id, d);
-            }
+            digits[id] = config.digit(id);
         }
-        restricted.0
+        Config::from_digits(&digits).0
     }
 
     /// Number of groups (the delta walk's dimensionality).
@@ -324,19 +325,16 @@ impl FastCampaign {
             Some(t) if t <= 1 << 14 => t,
             _ => return,
         };
+        let p = self.n_pools as u64;
         let mut walk = self.walk.lock().expect("fast-path walk poisoned");
         for i in 0..total {
-            let positions = if self.n_pools == 2 { gray(i as u32) as u64 } else { i };
-            let mut masked = Config::DDR_ONLY;
-            let mut r = positions;
+            let mut r = if self.n_pools == 2 { gray(i as u32) as u64 } else { i };
+            let mut digits = [0u8; WORD_GROUPS];
             for &bit in &self.group_bits {
-                let d = (r % self.n_pools as u64) as u8;
-                r /= self.n_pools as u64;
-                if d != 0 {
-                    masked = masked.with_digit(bit, d);
-                }
+                digits[bit] = (r % p) as u8;
+                r /= p;
             }
-            let masked = masked.0;
+            let masked = Config::from_digits(&digits).0;
             if walk.memo.contains_key(&masked) {
                 continue;
             }

@@ -16,8 +16,7 @@
 //! statistics ([`ConfigMeasurement`], [`CampaignResult`]) — and the
 //! convenience front ends over the IR.
 
-use std::collections::HashMap;
-
+use hmpt_sim::fingerprint::WordMap;
 use hmpt_sim::machine::Machine;
 use hmpt_sim::noise::NoiseModel;
 use hmpt_workloads::model::WorkloadSpec;
@@ -108,7 +107,7 @@ pub struct CampaignResult {
     /// Config bits → index into `measurements`, so `get`/`baseline_s` are
     /// O(1) instead of a linear scan over up to 2^|AG| entries (hot in
     /// analysis, estimator fitting, and the fleet cache path).
-    index: HashMap<u64, usize>,
+    index: WordMap<u64, usize>,
 }
 
 // Manual serde impls: the index is derivable state, so it is neither

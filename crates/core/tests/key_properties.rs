@@ -3,12 +3,24 @@
 //! key every cell identically, and changing any input a cell's outcome
 //! depends on — the grouping, the configuration, the noise model, the
 //! seed — moves the key.
+//!
+//! A plan derives keys from memoized hash states, and every path that
+//! derives one (`cells()`, `cell()`, an adaptive round, an online probe)
+//! must give the bits of the reference tuple built directly with
+//! `Fingerprint::of` and `Fingerprint::combine`. Persisted snapshots
+//! hold these bits, so a slip would otherwise show only as every old
+//! snapshot cold-starting.
+
+use std::sync::Mutex;
 
 use hmpt_core::cache::CellKey;
-use hmpt_core::campaign::CampaignPlan;
+use hmpt_core::campaign::{CampaignPlan, CellSpec, RepPolicy};
 use hmpt_core::configspace::Config;
+use hmpt_core::error::TunerError;
+use hmpt_core::exec::{CellExecutor, ExecutorKind};
 use hmpt_core::grouping::AllocationGroup;
-use hmpt_core::measure::CampaignConfig;
+use hmpt_core::measure::{CampaignConfig, CellOutcome};
+use hmpt_sim::fingerprint::Fingerprint;
 use hmpt_sim::machine::Machine;
 use hmpt_sim::noise::NoiseModel;
 use hmpt_sim::zoo::{Preset, ZooEntry};
@@ -41,6 +53,45 @@ fn merged(groups: &[AllocationGroup]) -> Vec<AllocationGroup> {
         g.id = id;
     }
     out
+}
+
+/// Cell keys built directly, one full `combine` per word: the
+/// reference every plan's memoized derivation must reproduce.
+fn reference_keys<'a>(
+    machine: &Machine,
+    spec: &WorkloadSpec,
+    groups: &[AllocationGroup],
+    cfg: &'a CampaignConfig,
+) -> impl Fn(&CellSpec) -> CellKey + 'a {
+    let (machine_fp, spec_fp) = (Fingerprint::of(machine), Fingerprint::of(spec));
+    let (groups_fp, noise_fp) = (Fingerprint::of(groups), Fingerprint::of(&cfg.noise));
+    move |c| {
+        (
+            machine_fp,
+            spec_fp,
+            groups_fp.combine(c.config.0),
+            noise_fp.combine(cfg.cell_seed(c.config, c.rep)),
+        )
+    }
+}
+
+/// A serial executor that keeps every cell it is handed.
+#[derive(Default)]
+struct Recording(Mutex<Vec<CellSpec>>);
+
+impl CellExecutor for Recording {
+    fn run_cells(
+        &self,
+        cells: &[CellSpec],
+        measure: &(dyn Fn(&CellSpec) -> Result<CellOutcome, TunerError> + Sync),
+    ) -> Vec<Result<CellOutcome, TunerError>> {
+        self.0.lock().unwrap().extend_from_slice(cells);
+        ExecutorKind::Serial.run_cells(cells, measure)
+    }
+
+    fn describe(&self) -> String {
+        "recording".to_string()
+    }
 }
 
 fn key_of(
@@ -105,4 +156,108 @@ proptest! {
         let reseeded = CampaignConfig { base_seed: base_seed + 1, ..cfg };
         prop_assert!(key != key_of(&machine, &spec, &groups, reseeded, config, rep), "seed");
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn every_derived_key_is_the_reference_tuple(
+        workload in 0usize..WORKLOADS.len(),
+        n_groups in 2usize..=3,
+        runs in 2usize..=3,
+        cv_milli in 1u64..50,
+        base_seed in 0u64..1 << 20,
+        probe in 0u64..1 << 20,
+    ) {
+        let spec = WORKLOADS[workload]();
+        let groups = singletons(&spec, n_groups);
+        let cfg = CampaignConfig {
+            runs_per_config: runs,
+            noise: NoiseModel { cv: cv_milli as f64 / 1000.0 },
+            base_seed,
+        };
+        let mut pool_counts = Vec::new();
+        for preset in Preset::ALL {
+            let machine = ZooEntry::preset(preset).build();
+            let n_pools = machine.n_pools();
+            pool_counts.push(n_pools);
+            let reference = reference_keys(&machine, &spec, &groups, &cfg);
+            let plan = || CampaignPlan::new(&machine, &spec, &groups, cfg).unwrap();
+
+            // The enumeration, and each of its cells asked for alone.
+            let p = plan();
+            let cells: Vec<CellSpec> = p.cells().collect();
+            prop_assert_eq!(cells.len(), n_pools.pow(n_groups as u32) * runs);
+            for c in &cells {
+                prop_assert_eq!(c.seed, cfg.cell_seed(c.config, c.rep));
+                prop_assert_eq!(c.key, reference(c));
+                prop_assert_eq!(p.cell(c.config, c.rep), *c);
+            }
+
+            // Adaptive rounds: a ceiling above `runs` and a target no
+            // configuration meets, so every round runs every feasible
+            // configuration.
+            let rec = Recording::default();
+            plan().with_policy(RepPolicy::confidence(1e-9, runs + 1)).execute(&rec).unwrap();
+            let seen = rec.0.into_inner().unwrap();
+            prop_assert!(seen.iter().any(|c| c.rep == runs), "the last round ran");
+            for c in &seen {
+                prop_assert_eq!(c.key, reference(c));
+            }
+
+            // An online probe of one configuration.
+            let n_configs = (n_pools as u64).pow(n_groups as u32);
+            let config = Config::from_rank(probe % n_configs, n_groups, n_pools);
+            let rec = Recording::default();
+            let _ = plan().measure_config(&rec, config);
+            let seen = rec.0.into_inner().unwrap();
+            prop_assert_eq!(seen.len(), runs);
+            for c in &seen {
+                prop_assert_eq!(c.key, reference(c));
+            }
+        }
+        pool_counts.sort_unstable();
+        pool_counts.dedup();
+        prop_assert!(pool_counts == [2, 3], "two- and three-pool machines, not {pool_counts:?}");
+    }
+}
+
+/// Golden keys: the derivation is part of the on-disk cache format,
+/// like the encoding `hmpt_sim::fingerprint`'s
+/// `fingerprint_encoding_is_pinned` pins. A failure means an unchanged
+/// campaign now keys its cells differently. If the derivation changed,
+/// bump `hmpt_core::store::SEMANTICS_VERSION` and re-pin in the same
+/// commit; if the machine presets or the NPB specs changed, the keys
+/// rightly moved — re-pin.
+#[test]
+fn cell_keys_are_pinned() {
+    let spec = npb::mg::workload();
+    let groups = singletons(&spec, 3);
+    let cfg = CampaignConfig::default();
+    let key = |preset: Preset, config: Config| {
+        let machine = ZooEntry::preset(preset).build();
+        let key = CampaignPlan::new(&machine, &spec, &groups, cfg).unwrap().cell(config, 1).key;
+        [key.0.raw(), key.1.raw(), key.2.raw(), key.3.raw()]
+    };
+    // A binary word on the two-pool paper machine.
+    assert_eq!(
+        key(Preset::XeonMaxSnc4, Config(0b101)),
+        [
+            0xdd84_ab85_c53c_2512,
+            0x9314_0a11_1f2c_09e3,
+            0xcd5c_aad1_37f7_1081,
+            0xab95_66c2_f0fc_5389
+        ]
+    );
+    // A mixed-radix word (digits [2, 0, 1]) on the three-pool machine.
+    assert_eq!(
+        key(Preset::CxlFarTier, Config::from_rank(2 + 9, 3, 3)),
+        [
+            0xaa77_926b_253f_4b2b,
+            0x9314_0a11_1f2c_09e3,
+            0x333f_a51e_1d2a_4b07,
+            0xe8ac_d92f_e381_ea37
+        ]
+    );
 }

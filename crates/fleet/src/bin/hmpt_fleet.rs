@@ -156,7 +156,8 @@ fn usage() -> ! {
          \x20 --json                    machine-readable output (diff/gate/trend)\n\
          serve options (the campaign-service daemon):\n\
          \x20 --workers N     campaign groups a served job runs at once, each\n\
-         \x20                 group's cells serially (default: one per CPU);\n\
+         \x20                 group's cells serially (default: one per CPU but\n\
+         \x20                 one, at least one);\n\
          \x20                 a spec's serial, workers and job_workers are ignored\n\
          \x20 --quota N       max live jobs per tenant (default 4)\n\
          \x20 --cache-max N   LRU bound on the shared cross-job cache\n\

@@ -4,10 +4,9 @@
 //! moment it is drawn and only the per-site running totals are kept
 //! ([`SiteTally`]), so a profiling run never holds its samples.
 
-use std::collections::HashMap;
-
 use hmpt_alloc::registry::Registry;
 use hmpt_alloc::site::SiteId;
+use hmpt_sim::fingerprint::WordMap;
 
 use crate::ibs::MemSample;
 
@@ -22,10 +21,12 @@ pub struct SiteTally {
     pub writes: usize,
 }
 
-/// Per-site totals of the samples attributed so far.
+/// Per-site totals of the samples attributed so far. The map is keyed
+/// by site ids, which are already hashes, so it takes the cheap word
+/// hasher: a profile charges one insert per sample.
 #[derive(Debug, Clone, Default)]
 pub struct Attribution {
-    pub by_site: HashMap<SiteId, SiteTally>,
+    pub by_site: WordMap<SiteId, SiteTally>,
     /// Samples whose address matched no live allocation (skid past the
     /// end, freed memory, stack/code addresses on real hardware).
     pub unattributed: usize,

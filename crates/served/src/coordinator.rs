@@ -57,7 +57,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hmpt_core::cache::{Mark, MeasurementCache};
-use hmpt_core::exec::ExecutorKind;
+use hmpt_core::exec::{available_workers, ExecutorKind};
 use hmpt_core::scenario::MatrixReport;
 use hmpt_core::store;
 use hmpt_fleet::api;
@@ -84,9 +84,10 @@ const CACHE_LOG: &str = "cache.log";
 pub struct CoordinatorConfig {
     pub state_dir: PathBuf,
     /// Campaign groups a job runs at once on the fleet's job pool, each
-    /// group's cells serially; 0 means one per available CPU. This is a
-    /// served job's whole width: the spec's `[execution]` `serial`,
-    /// `workers` and `job_workers` are ignored.
+    /// group's cells serially; 0 means one per available CPU but one,
+    /// and at least one, so the service's own threads keep a CPU. This
+    /// is a served job's whole width: the spec's `[execution]`
+    /// `serial`, `workers` and `job_workers` are ignored.
     pub workers: usize,
     /// Max live (queued + mid-flight) jobs per tenant.
     pub tenant_quota: usize,
@@ -96,6 +97,19 @@ pub struct CoordinatorConfig {
 }
 
 impl CoordinatorConfig {
+    /// The campaign groups a served job runs at once: `workers`, or for
+    /// 0 one per available CPU but one. The runner, the server and the
+    /// clients polling it keep that CPU, so they do not preempt a job's
+    /// workers. On a 2-vCPU VM a stream of small served jobs on two
+    /// workers answered cells 1.2× faster than on one, but its
+    /// throughput spread from run to run 1.3–2.4× as widely.
+    fn job_width(&self) -> usize {
+        match self.workers {
+            0 => available_workers().saturating_sub(1).max(1),
+            n => n,
+        }
+    }
+
     /// A config with the default quota and auto worker count.
     pub fn new(state_dir: impl Into<PathBuf>) -> Self {
         CoordinatorConfig {
@@ -769,7 +783,7 @@ impl Coordinator {
         // run their cells serially, whatever the spec's executor says.
         let config = MatrixConfig {
             executor: ExecutorKind::Serial,
-            job_workers: self.cfg.workers,
+            job_workers: self.cfg.job_width(),
             ..config
         };
         let fleet = Fleet::with_cache(config.fleet_config(), Arc::clone(&self.cache));
@@ -791,5 +805,19 @@ impl Coordinator {
         if let Err(e) = self.persist_queue(&mut inner, id) {
             hmpt_obs::warn("serve.state", format!("job {id}: {e}"));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_auto_width_leaves_the_service_a_cpu() {
+        let mut cfg = CoordinatorConfig::new("state");
+        let cpus = available_workers();
+        assert_eq!(cfg.job_width(), if cpus > 1 { cpus - 1 } else { 1 });
+        cfg.workers = 3;
+        assert_eq!(cfg.job_width(), 3, "an explicit width is kept");
     }
 }

@@ -32,8 +32,19 @@
 //! The golden-value regression tests at the bottom of this module pin
 //! the encoding; if one fails, either revert the encoding change or
 //! bump the semantics version and update the pins in the same commit.
+//!
+//! ## Maps keyed by content hashes
+//!
+//! A map whose keys already are fingerprints, or small words such as a
+//! configuration word or a site id, gains nothing from SipHash's
+//! per-byte rounds. [`WordHasher`] (via [`WordMap`]) hashes each key
+//! word with one rotate, xor and multiply. It is in-memory only — no
+//! byte of it reaches a snapshot or a fingerprint — and it is not
+//! flood-resistant, so it is for keys this process derives itself.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Serialize, Value};
 
@@ -67,8 +78,29 @@ impl Fingerprint {
     /// per-cell seed on top of a memoized noise-model fingerprint) —
     /// much cheaper than re-serializing the composite value.
     pub fn combine(self, word: u64) -> Fingerprint {
+        self.combiner().combine(word)
+    }
+
+    /// [`Self::combine`] with this fingerprint already hashed in, for a
+    /// caller that combines one fingerprint with many words.
+    pub fn combiner(self) -> Combiner {
         let mut h = StableHasher::new();
-        h.write_u64(self.0).write_u64(word);
+        h.write_u64(self.0);
+        Combiner(h)
+    }
+}
+
+/// The hash state of [`Fingerprint::combine`] after its first word:
+/// combining it with a word hashes 8 bytes instead of 16 and gives the
+/// same bits as `combine`.
+#[derive(Debug, Clone, Copy)]
+pub struct Combiner(StableHasher);
+
+impl Combiner {
+    /// `fp.combiner().combine(word) == fp.combine(word)`.
+    pub fn combine(self, word: u64) -> Fingerprint {
+        let mut h = self.0;
+        h.write_u64(word);
         Fingerprint(h.finish())
     }
 }
@@ -128,6 +160,40 @@ impl Default for StableHasher {
         Self::new()
     }
 }
+
+/// Fibonacci-hashing multiplier (2^64 / φ, odd).
+const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// An Fx-style [`Hasher`] for keys made of 64-bit words (see the module
+/// docs): each word costs one rotate, xor and multiply. A product's
+/// high bits depend on every input bit but its low bits only on the
+/// input's low bits, so [`Hasher::finish`] folds the high half into the
+/// low half, where `HashMap` takes its bucket index.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(WORD_MUL);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A `HashMap` hashed by [`WordHasher`].
+pub type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 fn hash_value(h: &mut StableHasher, v: &Value) {
     match v {
@@ -233,6 +299,43 @@ mod tests {
         assert_eq!(fingerprint_of(""), 0x9741_5220_5117_9a4a);
         assert_eq!(fingerprint_of(&vec![1u64, 2, 3]), 0xa4a9_0f67_b9a5_767e);
         assert_eq!(Fingerprint::from_raw(0xdead_beef).combine(42).raw(), 0x2067_7842_c5ab_1f7f);
+    }
+
+    #[test]
+    fn a_combiner_hashes_both_words_like_one_stable_hasher() {
+        for (fp, word) in
+            [(0, 0), (0xdead_beef, 42), (u64::MAX, 7), (0x7878_e952_9d15_e750, 1 << 63)]
+        {
+            let both = StableHasher::new().write_u64(fp).write_u64(word).finish();
+            let fp = Fingerprint::from_raw(fp);
+            assert_eq!(fp.combiner().combine(word).raw(), both);
+            assert_eq!(fp.combine(word).raw(), both);
+        }
+    }
+
+    #[test]
+    fn word_hasher_spreads_config_words_and_fingerprints_over_buckets() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<WordHasher>::default();
+        // The word shapes the maps see: sequential binary configuration
+        // words, mixed-radix words (a marker bit over base-3 digits, two
+        // bits each) and avalanche-mixed fingerprints. Random hashes put
+        // n keys into about 0.79·n distinct buckets of a 2n-bucket
+        // table; each shape must come close.
+        let mixed = |r: u64| (0..8).fold(1u64 << 63, |w, g| w | (r / 3u64.pow(g) % 3) << (2 * g));
+        let shapes: [Vec<u64>; 3] = [
+            (0..4096).collect(),
+            (0..6561).map(mixed).collect(),
+            (0..4096).map(|k| Fingerprint::of(&k).raw()).collect(),
+        ];
+        for keys in shapes {
+            let mask = (2 * keys.len()).next_power_of_two() as u64 - 1;
+            let mut buckets: Vec<u64> = keys.iter().map(|&k| build.hash_one(k) & mask).collect();
+            buckets.sort_unstable();
+            buckets.dedup();
+            let n = keys.len();
+            assert!(buckets.len() * 10 > n * 7, "{} buckets for {n} keys", buckets.len());
+        }
     }
 
     #[test]
