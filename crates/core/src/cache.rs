@@ -1,7 +1,9 @@
 //! The content-addressed measurement cache.
 //!
 //! A cached entry is one campaign **cell** — a single simulated run —
-//! keyed by *what* was measured, never by object identity:
+//! keyed by *what* was measured, never by object identity (the cache
+//! also memoizes whole profiling runs beside its cells; see the profile
+//! memo below):
 //!
 //! ```text
 //! key = ( machine.fingerprint(),   # full platform model
@@ -33,6 +35,26 @@
 //! too: re-asking whether a placement fits is as redundant as re-timing
 //! it.
 //!
+//! Beside the cells the cache keeps a **profile memo**: the profiling
+//! run of the Fig 6 pipeline (all-DDR, IBS-sampled) is a pure function
+//! of machine, workload and profiling run configuration, so it is keyed
+//!
+//! ```text
+//! key = ( machine.fingerprint(), spec.fingerprint(),
+//!         RunConfig::profiling(profile_seed).fingerprint() )
+//! ```
+//!
+//! and a fleet job that finds its key skips the profiling run
+//! ([`MeasurementCache::profile_or_run`]). The memo lives in memory
+//! only: it is never persisted, never counted in [`len`] or [`stats`]
+//! or listed by [`entries`], and [`compact`] drops it whenever it evicts
+//! a cell, so a size bound on the cells bounds the memo too.
+//!
+//! [`len`]: MeasurementCache::len
+//! [`stats`]: MeasurementCache::stats
+//! [`entries`]: MeasurementCache::entries
+//! [`compact`]: MeasurementCache::compact
+//!
 //! [`CachingExecutor`]: crate::exec::CachingExecutor
 //! [`CampaignPlan`]: crate::campaign::CampaignPlan
 
@@ -41,6 +63,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use hmpt_sim::fingerprint::{Fingerprint, WordMap};
+use hmpt_workloads::runner::RunOutcome;
 use serde::{Deserialize, Serialize};
 
 use crate::error::TunerError;
@@ -49,6 +72,10 @@ use crate::measure::CellOutcome;
 /// Composite content key of one measurement cell: (machine, spec,
 /// groups ⊕ configuration, noise ⊕ seed) fingerprints.
 pub type CellKey = (Fingerprint, Fingerprint, Fingerprint, Fingerprint);
+
+/// Content key of one profiling run: (machine, spec, profiling
+/// `RunConfig`) fingerprints.
+pub type ProfileKey = (Fingerprint, Fingerprint, Fingerprint);
 
 /// Cache counters (monotonic over the cache's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -133,6 +160,8 @@ pub struct MeasurementCache {
     misses: AtomicU64,
     /// Monotonic use-clock behind the per-entry recency stamps.
     clock: AtomicU64,
+    /// The profile memo ([`Self::profile_or_run`]).
+    profiles: Mutex<WordMap<ProfileKey, RunOutcome>>,
 }
 
 impl MeasurementCache {
@@ -264,6 +293,30 @@ impl MeasurementCache {
         (outcomes, lookup)
     }
 
+    /// The profiling run `key` names: the memoized outcome if the memo
+    /// holds it, else `run`'s, memoized when it succeeds. Each call
+    /// counts one `profile.memo.hit` or `profile.memo.miss`. Two callers
+    /// racing on a key may both run it; a profile is seed-deterministic,
+    /// so both store the identical outcome.
+    pub fn profile_or_run<F>(&self, key: ProfileKey, run: F) -> Result<RunOutcome, TunerError>
+    where
+        F: FnOnce() -> Result<RunOutcome, TunerError>,
+    {
+        if let Some(hit) = self.profiles.lock().expect("profile memo poisoned").get(&key) {
+            hmpt_obs::counter("profile.memo.hit").incr();
+            return Ok(hit.clone());
+        }
+        hmpt_obs::counter("profile.memo.miss").incr();
+        let outcome = run()?;
+        self.profiles.lock().expect("profile memo poisoned").insert(key, outcome.clone());
+        Ok(outcome)
+    }
+
+    /// How many profiling runs the memo holds.
+    pub fn memoized_profiles(&self) -> usize {
+        self.profiles.lock().expect("profile memo poisoned").len()
+    }
+
     /// Peek without measuring (still counts as a use for recency).
     pub fn get(&self, key: &CellKey) -> Option<Result<CellOutcome, TunerError>> {
         let mut map = self.map.lock().expect("cache poisoned");
@@ -337,7 +390,8 @@ impl MeasurementCache {
     /// use history (concurrent workers race on the use-clock, which can
     /// reorder *which* cells survive — never what a surviving cell
     /// holds: any subset of a content-addressed cache is valid, so
-    /// compaction affects future cost only, not results).
+    /// compaction affects future cost only, not results). A compaction
+    /// that evicts drops the whole profile memo with the cells.
     pub fn compact(&self, max_entries: usize) -> u64 {
         let mut map = self.map.lock().expect("cache poisoned");
         if map.len() <= max_entries {
@@ -350,6 +404,7 @@ impl MeasurementCache {
         for (_, key) in &evicted {
             map.remove(key);
         }
+        self.profiles.lock().expect("profile memo poisoned").clear();
         hmpt_obs::counter("cache.evict").add(evicted.len() as u64);
         evicted.len() as u64
     }
@@ -362,9 +417,11 @@ impl MeasurementCache {
         self.len() == 0
     }
 
-    /// Drop all entries (counters keep accumulating).
+    /// Drop all entries and the profile memo (counters keep
+    /// accumulating).
     pub fn clear(&self) {
         self.map.lock().expect("cache poisoned").clear();
+        self.profiles.lock().expect("profile memo poisoned").clear();
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -525,6 +582,71 @@ mod tests {
             cache.get_or_measure_batch(2, |_| key(1, 0, 0, 0), |_| unreachable!("every cell hits"));
         assert_eq!(outcomes.len(), 2);
         assert_eq!(lookup, BatchLookup { hits: 2, misses: 0, added: 0 });
+    }
+
+    fn profile(t: f64) -> RunOutcome {
+        RunOutcome {
+            time_s: t,
+            counters: hmpt_perf::counters::Counters::new(),
+            stats: hmpt_perf::stats::AccessStats::default(),
+            hbm_footprint_fraction: 0.0,
+            phase_costs: Vec::new(),
+        }
+    }
+
+    fn profile_key(a: u64) -> ProfileKey {
+        (Fingerprint::from_raw(a), Fingerprint::from_raw(0), Fingerprint::from_raw(7))
+    }
+
+    #[test]
+    fn a_memoized_profile_runs_once_and_stays_out_of_the_cells() {
+        let cache = MeasurementCache::new();
+        cache.insert(key(1, 0, 0, 0), cell(1.0));
+        let mark = cache.mark();
+        let mut runs = 0;
+        for _ in 0..3 {
+            let out = cache
+                .profile_or_run(profile_key(1), || {
+                    runs += 1;
+                    Ok(profile(2.5))
+                })
+                .unwrap();
+            assert_eq!(out.time_s.to_bits(), 2.5f64.to_bits());
+        }
+        assert_eq!(runs, 1);
+        assert_eq!(cache.memoized_profiles(), 1);
+        // Not a cell: invisible to the snapshot, the counts and the
+        // journal.
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries().len(), 1);
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, entries: 1 });
+        assert!(cache.added_since(mark).is_empty());
+    }
+
+    #[test]
+    fn a_failed_profile_is_not_memoized() {
+        let cache = MeasurementCache::new();
+        let err = cache.profile_or_run(profile_key(1), || Err(TunerError::EmptyWorkload));
+        assert!(matches!(err, Err(TunerError::EmptyWorkload)));
+        assert_eq!(cache.memoized_profiles(), 0);
+        let out = cache.profile_or_run(profile_key(1), || Ok(profile(1.0))).unwrap();
+        assert_eq!(out.time_s, 1.0, "the next consult runs the profile");
+    }
+
+    #[test]
+    fn an_evicting_compaction_drops_the_profile_memo() {
+        let cache = MeasurementCache::new();
+        for i in 0..4 {
+            cache.insert(key(i, 0, 0, 0), cell(i as f64));
+        }
+        cache.profile_or_run(profile_key(1), || Ok(profile(1.0))).unwrap();
+        assert_eq!(cache.compact(4), 0);
+        assert_eq!(cache.memoized_profiles(), 1, "nothing evicted, nothing dropped");
+        assert_eq!(cache.compact(3), 1);
+        assert_eq!(cache.memoized_profiles(), 0, "an eviction drops the memo");
+        cache.profile_or_run(profile_key(1), || Ok(profile(1.0))).unwrap();
+        cache.clear();
+        assert_eq!(cache.memoized_profiles(), 0);
     }
 
     #[test]

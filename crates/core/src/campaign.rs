@@ -281,6 +281,27 @@ impl<'a> CampaignPlan<'a> {
         groups: &'a [AllocationGroup],
         cfg: CampaignConfig,
     ) -> Result<Self, TunerError> {
+        Self::with_fingerprints(
+            machine,
+            spec,
+            groups,
+            cfg,
+            (machine.fingerprint(), spec.fingerprint()),
+        )
+    }
+
+    /// [`Self::new`] for a caller that already holds
+    /// `(machine.fingerprint(), spec.fingerprint())` — a fleet job takes
+    /// them once and keys its profile by them too. They become every
+    /// cell key's first two words, so they must be exactly those two.
+    pub fn with_fingerprints(
+        machine: &'a Machine,
+        spec: &'a WorkloadSpec,
+        groups: &'a [AllocationGroup],
+        cfg: CampaignConfig,
+        fingerprints: (Fingerprint, Fingerprint),
+    ) -> Result<Self, TunerError> {
+        debug_assert_eq!(fingerprints, (machine.fingerprint(), spec.fingerprint()));
         let limit = crate::configspace::max_groups_for(machine.n_pools());
         if groups.len() > limit {
             return Err(TunerError::TooManyGroups { groups: groups.len(), limit });
@@ -291,6 +312,7 @@ impl<'a> CampaignPlan<'a> {
             groups,
             ConfigSet::Full { n_groups: groups.len(), n_pools: machine.n_pools() },
             cfg,
+            fingerprints,
         ))
     }
 
@@ -303,7 +325,15 @@ impl<'a> CampaignPlan<'a> {
         configs: Vec<Config>,
         cfg: CampaignConfig,
     ) -> Self {
-        Self::with_config_set(machine, spec, groups, ConfigSet::Explicit(configs), cfg)
+        let fingerprints = (machine.fingerprint(), spec.fingerprint());
+        Self::with_config_set(
+            machine,
+            spec,
+            groups,
+            ConfigSet::Explicit(configs),
+            cfg,
+            fingerprints,
+        )
     }
 
     fn with_config_set(
@@ -312,6 +342,7 @@ impl<'a> CampaignPlan<'a> {
         groups: &'a [AllocationGroup],
         configs: ConfigSet,
         cfg: CampaignConfig,
+        (machine_fp, spec_fp): (Fingerprint, Fingerprint),
     ) -> Self {
         CampaignPlan {
             machine,
@@ -320,8 +351,8 @@ impl<'a> CampaignPlan<'a> {
             cfg,
             policy: RepPolicy::Fixed,
             configs,
-            machine_fp: machine.fingerprint(),
-            spec_fp: spec.fingerprint(),
+            machine_fp,
+            spec_fp,
             groups_key: Fingerprint::of(groups).combiner(),
             noise_key: Fingerprint::of(&cfg.noise).combiner(),
             plans: Mutex::new(WordMap::default()),

@@ -126,13 +126,25 @@ impl Driver {
         self
     }
 
+    pub fn with_profile_seed(mut self, seed: u64) -> Self {
+        self.profile_seed = seed;
+        self
+    }
+
+    /// The run configuration of [`Self::profile`]: a profile is a pure
+    /// function of machine, workload and this, whose fingerprint keys
+    /// the profile memo of [`crate::cache::MeasurementCache`].
+    pub fn profile_config(&self) -> RunConfig {
+        RunConfig::profiling(self.profile_seed)
+    }
+
     /// Step 1: the profiling run (all-DDR, IBS on).
     pub fn profile(&self, spec: &WorkloadSpec) -> Result<RunOutcome, TunerError> {
         if spec.allocations.is_empty() {
             return Err(TunerError::EmptyWorkload);
         }
         let plan = PlacementPlan::default();
-        Ok(run_once(&self.machine, spec, &plan, &RunConfig::profiling(self.profile_seed))?)
+        Ok(run_once(&self.machine, spec, &plan, &self.profile_config())?)
     }
 
     /// Step 3: plan the measurement campaign for an already-grouped

@@ -369,23 +369,24 @@ mod tests {
 
     #[test]
     fn shards_with_different_execution_settings_refuse_to_merge() {
-        let matrix = tiny_matrix();
-        let a = run_matrix_sharded(
-            &matrix,
-            &MatrixConfig::default(),
-            matrix.shard(0, 2),
-            Arc::new(MeasurementCache::new()),
-        )
-        .unwrap();
+        // is's two hottest allocations draw within a few percent of each
+        // other's samples, so the profiling seed decides their order.
+        let zoo = Zoo::parse("xeon-max,hbm-flat").unwrap();
+        let matrix = ScenarioMatrix::new(zoo, vec![hmpt_workloads::npb::is::workload()])
+            .with_budgets(vec![None, Some(gib(16))]);
+        let shard = |cfg: &MatrixConfig, k| {
+            run_matrix_sharded(&matrix, cfg, matrix.shard(k, 2), Arc::new(MeasurementCache::new()))
+                .unwrap()
+        };
+        let reseeded = MatrixConfig { profile_seed: 9, ..MatrixConfig::default() };
+        let a = shard(&MatrixConfig::default(), 0);
         // Same matrix, different profiling seed: row bits differ, so
         // the combined fingerprint must refuse the merge.
-        let b = run_matrix_sharded(
-            &matrix,
-            &MatrixConfig { profile_seed: 9, ..MatrixConfig::default() },
-            matrix.shard(1, 2),
-            Arc::new(MeasurementCache::new()),
-        )
-        .unwrap();
+        assert!(
+            !hmpt_core::scenario::rows_bit_identical(&a.rows, &shard(&reseeded, 0).rows),
+            "the profiling seed must reach the rows"
+        );
+        let b = shard(&reseeded, 1);
         assert!(matches!(
             MatrixReport::merge(&[a, b]),
             Err(hmpt_core::scenario::MergeError::MatrixMismatch { .. })

@@ -9,16 +9,19 @@
 //! runs them on [`FleetConfig::executor`] (serial by default).
 //!
 //! Each job runs the full Fig 6 pipeline (profile → group → measure →
-//! analyze). The measurement campaign is planned as a
-//! [`CampaignPlan`] — cells enumerated lazily, fingerprints memoized
-//! once per job — and streamed through the job's cell executor, wrapped
-//! in a [`hmpt_core::exec::CachingExecutor`] over the shared
-//! [`MeasurementCache`] unless caching is disabled. An optional per-job *online verification pass*
-//! replays the paper's incremental tuner through the same plan and
-//! cache — its probes revisit configurations the exhaustive campaign
-//! just measured (same derived seeds), so a warmed cache answers them
-//! without new simulated runs while proving exhaustive and online
-//! tuning agree.
+//! analyze). Unless caching is disabled, the profile comes from the
+//! shared cache's profile memo when an earlier job profiled the same
+//! machine × workload under the same profiling seed
+//! ([`MeasurementCache::profile_or_run`]). The measurement campaign is
+//! planned as a [`CampaignPlan`] — cells enumerated lazily, fingerprints
+//! memoized once per job — and streamed through the job's cell
+//! executor, wrapped in a [`hmpt_core::exec::CachingExecutor`] over the
+//! shared [`MeasurementCache`] unless caching is disabled. An optional
+//! per-job *online verification pass* replays the paper's incremental
+//! tuner through the same plan and cache — its probes revisit
+//! configurations the exhaustive campaign just measured (same derived
+//! seeds), so a warmed cache answers them without new simulated runs
+//! while proving exhaustive and online tuning agree.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -60,8 +63,9 @@ pub struct FleetConfig {
     /// visits (a fraction of the space; those cells then stay cached) —
     /// disable the check to keep the full early-stop saving.
     pub online_check: bool,
-    /// Consult the shared content-addressed cache per cell (`false`
-    /// re-simulates everything — useful for timing baselines).
+    /// Consult the shared content-addressed cache per cell and its
+    /// profile memo per job (`false` re-profiles and re-simulates
+    /// everything — the bit-identity verify re-run, timing baselines).
     pub cache_enabled: bool,
     /// How many *jobs* run concurrently: `0` (the default) is one per
     /// available CPU, resolved at run time ([`Self::pool`]); `1` runs
@@ -335,10 +339,20 @@ impl Fleet {
             .with_grouping(self.cfg.grouping)
             .with_campaign(job.campaign)
             .with_executor(executor)
-            .with_fast_path(self.cfg.fast_path);
+            .with_fast_path(self.cfg.fast_path)
+            .with_profile_seed(self.cfg.profile_seed);
+        // The job's machine and spec fingerprints, taken once: they key
+        // its profile in the memo and are the first two words of every
+        // cell key.
+        let fingerprints = (job.machine.fingerprint(), job.spec.fingerprint());
         let (profile, groups) = {
             let _s = hmpt_obs::span("job.profile");
-            let profile = driver.profile(&job.spec)?;
+            let profile = if self.cfg.cache_enabled {
+                let key = (fingerprints.0, fingerprints.1, driver.profile_config().fingerprint());
+                self.cache.profile_or_run(key, || driver.profile(&job.spec))?
+            } else {
+                driver.profile(&job.spec)?
+            };
             let groups = group(&job.spec, &profile.stats, &self.cfg.grouping);
             (profile, groups)
         };
@@ -348,9 +362,15 @@ impl Fleet {
         // the campaign cells and every online probe.
         let plan = {
             let _s = hmpt_obs::span("job.plan");
-            CampaignPlan::new(&job.machine, &job.spec, &groups, job.campaign)?
-                .with_policy(job.rep_policy.unwrap_or(self.cfg.rep_policy))
-                .with_fast_path(self.cfg.fast_path)
+            CampaignPlan::with_fingerprints(
+                &job.machine,
+                &job.spec,
+                &groups,
+                job.campaign,
+                fingerprints,
+            )?
+            .with_policy(job.rep_policy.unwrap_or(self.cfg.rep_policy))
+            .with_fast_path(self.cfg.fast_path)
         };
         // The job's own caching layer over the shared cache: it counts
         // this job's lookups, whatever other jobs run beside it.

@@ -42,34 +42,47 @@ pub mod stream_bench;
 pub use model::{AllocSpec, Phase, StreamSpec, WorkloadSpec};
 pub use runner::{run_once, RunConfig, RunOutcome};
 
+/// Builds one workload model.
+type Constructor = fn() -> WorkloadSpec;
+
+/// Every Table II workload's name and constructor, in paper order —
+/// the one table behind [`table2_workloads`] and [`find_table2`].
+const TABLE2: [(&str, Constructor); 7] = [
+    ("mg.D", npb::mg::workload),
+    ("bt.D", npb::bt::workload),
+    ("lu.D", npb::lu::workload),
+    ("sp.D", npb::sp::workload),
+    ("ua.D", npb::ua::workload),
+    ("is.Cx4", npb::is::workload),
+    ("kwave", kwave::workload),
+];
+
 /// Every paper benchmark with a Table II row, in paper order.
 pub fn table2_workloads() -> Vec<WorkloadSpec> {
-    vec![
-        npb::mg::workload(),
-        npb::bt::workload(),
-        npb::lu::workload(),
-        npb::sp::workload(),
-        npb::ua::workload(),
-        npb::is::workload(),
-        kwave::workload(),
-    ]
+    TABLE2.iter().map(|(_, build)| build()).collect()
 }
 
 /// Look up a Table II workload by exact name or unambiguous prefix
 /// (`mg` → `mg.D`) — the resolution behind CLI arguments and campaign
 /// specs. An empty or ambiguous name resolves to nothing: a spec slip
-/// must fail the run, never silently pick a workload.
+/// must fail the run, never silently pick a workload. Only the named
+/// workload is built.
 pub fn find_table2(name: &str) -> Option<WorkloadSpec> {
+    resolve(&TABLE2, name).map(|build| build())
+}
+
+/// The entry of `table` named `name` exactly, else the one entry whose
+/// name `name` prefixes; nothing for an empty or ambiguous name.
+fn resolve<'t, T>(table: &'t [(&str, T)], name: &str) -> Option<&'t T> {
     if name.is_empty() {
         return None;
     }
-    let all = table2_workloads();
-    if let Some(w) = all.iter().find(|w| w.name == name) {
-        return Some(w.clone());
+    if let Some((_, entry)) = table.iter().find(|(n, _)| *n == name) {
+        return Some(entry);
     }
-    let mut matches = all.iter().filter(|w| w.name.starts_with(name));
+    let mut matches = table.iter().filter(|(n, _)| n.starts_with(name));
     match (matches.next(), matches.next()) {
-        (Some(w), None) => Some(w.clone()),
+        (Some((_, entry)), None) => Some(entry),
         _ => None,
     }
 }
@@ -79,15 +92,39 @@ mod tests {
     use super::*;
 
     #[test]
+    fn each_table_name_is_its_constructors_name() {
+        for (name, build) in TABLE2 {
+            assert_eq!(build().name, name);
+        }
+        let names: Vec<String> = table2_workloads().into_iter().map(|w| w.name).collect();
+        assert_eq!(names, ["mg.D", "bt.D", "lu.D", "sp.D", "ua.D", "is.Cx4", "kwave"]);
+    }
+
+    #[test]
     fn find_table2_requires_an_unambiguous_name() {
         assert_eq!(find_table2("mg").unwrap().name, "mg.D");
         assert_eq!(find_table2("is.Cx4").unwrap().name, "is.Cx4");
         assert!(find_table2("").is_none(), "an empty name must not resolve");
         assert!(find_table2("zz").is_none());
+        assert!(find_table2("mg.D.x").is_none(), "a longer name is no prefix");
         // Every exact name and every current one-token prefix resolves
         // to itself.
         for w in table2_workloads() {
             assert_eq!(find_table2(&w.name).unwrap().name, w.name);
         }
+        // Resolution builds the named workload in full.
+        assert_eq!(find_table2("sp").unwrap().fingerprint(), npb::sp::workload().fingerprint());
+    }
+
+    #[test]
+    fn an_exact_name_wins_and_an_ambiguous_prefix_resolves_to_nothing() {
+        // Today's names share no prefix, so the rule is pinned on a
+        // table whose names do.
+        let table = [("ab.D", 1), ("ac.D", 2), ("ab", 3)];
+        assert_eq!(resolve(&table, "ab"), Some(&3), "an exact name beats a longer match");
+        assert_eq!(resolve(&table, "ac"), Some(&2));
+        assert_eq!(resolve(&table, "ab."), Some(&1));
+        assert_eq!(resolve(&table, "a"), None, "`a` prefixes three names");
+        assert_eq!(resolve(&table, ""), None);
     }
 }

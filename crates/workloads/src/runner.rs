@@ -140,7 +140,8 @@ pub fn run_once(
     let mut model_time = 0.0;
     // Every allocation is live from here until `free_all`, so charging
     // a sample to its site as it is drawn reads the same registry an
-    // attribution after the last phase would.
+    // attribution after the last phase would, and a sample inside its
+    // stream's own allocation needs no registry walk at all.
     let mut attribution = Attribution::default();
     let mut phase_costs = Vec::with_capacity(spec.phases.len());
 
@@ -165,7 +166,7 @@ pub fn run_once(
                     traffic,
                     spec_stream.dir,
                     |pool: PoolKind| machine.pool(pool).idle_latency_ns,
-                    |sample| attribution.record(sample, shim.registry()),
+                    |sample| attribution.record_from(sample, alloc_ref, shim.registry()),
                 );
             }
         }
@@ -185,9 +186,12 @@ mod tests {
     use super::*;
     use crate::model::{Phase, StreamSpec, WorkloadSpec};
     use hmpt_alloc::plan::{Assignment, PlacementPlan};
+    use hmpt_alloc::site::SiteId;
+    use hmpt_alloc::vspace::PAGE;
     use hmpt_sim::machine::xeon_max_9468;
     use hmpt_sim::stream::Direction;
     use hmpt_sim::units::gib;
+    use proptest::prelude::*;
 
     fn toy() -> WorkloadSpec {
         let mut w = WorkloadSpec::new("toy", "./toy.x");
@@ -239,6 +243,139 @@ mod tests {
         // Unattributed samples only from skid (≤ a few).
         let drawn = out.stats.total_samples + out.stats.unattributed;
         assert!(out.stats.unattributed < drawn / 100 + 5);
+    }
+
+    /// The samples of a profiling run of `w` under `plan`, drawn as
+    /// `run_once` draws them (the same sampler seed, streams in phase
+    /// order), each charged twice: by the fast path's `record_from` and
+    /// by the registry alone. Also counts the samples that skid carried
+    /// outside their stream's allocation.
+    fn both_attributions(
+        m: &Machine,
+        w: &WorkloadSpec,
+        plan: &PlacementPlan,
+        cfg: &RunConfig,
+    ) -> (Attribution, Attribution, usize) {
+        let mut shim = Shim::new(m, plan.clone());
+        let allocations: Vec<Allocation> =
+            w.allocations.iter().map(|a| shim.malloc(&a.trace, a.bytes).unwrap()).collect();
+        let mut sampler = Sampler::new(
+            cfg.ibs.expect("a profiling config"),
+            ChaCha8Rng::seed_from_u64(cfg.seed.wrapping_add(0x1b5)),
+        );
+        let (mut fast, mut registry, mut outside) =
+            (Attribution::default(), Attribution::default(), 0);
+        for phase in &w.phases {
+            for s in &phase.streams {
+                let own = &allocations[s.alloc];
+                sampler.sample_stream(
+                    &own.extents,
+                    s.bytes * phase.repeats,
+                    s.dir,
+                    |pool: PoolKind| m.pool(pool).idle_latency_ns,
+                    |sample| {
+                        outside +=
+                            usize::from(!own.extents.iter().any(|e| e.contains(sample.addr)));
+                        fast.record_from(sample, own, shim.registry());
+                        registry.record(sample, shim.registry());
+                    },
+                );
+            }
+        }
+        (fast, registry, outside)
+    }
+
+    /// A random workload of small allocations under a random placement:
+    /// each allocation in DDR, in HBM, or split between them. Some are
+    /// whole 2 MiB pages, so skid past their end lands in the next
+    /// allocation; the rest end well inside their last page, so skid
+    /// past their end lands in the gap.
+    fn arb_placed_workload() -> impl Strategy<Value = (WorkloadSpec, PlacementPlan)> {
+        let size = prop_oneof![(1u64..3).prop_map(|pages| pages * PAGE), 4096u64..262_144];
+        let allocs = prop::collection::vec((size, 0..3u8, 1u64..100), 1..5);
+        let stream = (0usize..8, 1u64..64, 0..3u8);
+        let phases = prop::collection::vec(prop::collection::vec(stream, 1..4), 1..3);
+        (allocs, phases).prop_map(|(allocs, phases)| {
+            let mut w = WorkloadSpec::new("placed", "./placed.x");
+            let mut plan = PlacementPlan::default();
+            for (i, &(bytes, kind, pct)) in allocs.iter().enumerate() {
+                let a = w.alloc(&format!("a{i}"), bytes);
+                let assignment = match kind {
+                    0 => Assignment::Pool(PoolKind::Ddr),
+                    1 => Assignment::Pool(PoolKind::Hbm),
+                    _ => Assignment::Split { hbm_fraction: pct as f64 / 100.0 },
+                };
+                plan.set(w.allocations[a].site(), assignment).unwrap();
+            }
+            for (p, streams) in phases.into_iter().enumerate() {
+                let streams = streams
+                    .into_iter()
+                    .map(|(a, mib, dir)| {
+                        let dirs = [Direction::Read, Direction::Write, Direction::ReadWrite];
+                        StreamSpec::seq(a % allocs.len(), mib << 20, dirs[dir as usize])
+                    })
+                    .collect();
+                w.push_phase(Phase::new(&format!("p{p}"), streams));
+            }
+            (w, plan)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Charging a sample inside its stream's allocation straight to
+        /// that allocation's site tallies exactly what the registry
+        /// would, bit for bit, and `run_once`'s statistics are the
+        /// registry path's.
+        #[test]
+        fn the_attribution_fast_path_is_the_registry_path(
+            (w, plan) in arb_placed_workload(),
+            seed in 0u64..1_000,
+        ) {
+            let m = xeon_max_9468();
+            // A skid of up to two pages carries many samples past the
+            // end of their allocation.
+            let ibs = IbsConfig { period_bytes: 64 << 10, skid_bytes: 2 * PAGE, latency_jitter: 0.15 };
+            let cfg = RunConfig { ibs: Some(ibs), ..RunConfig::profiling(seed) };
+            let (fast, registry, outside) = both_attributions(&m, &w, &plan, &cfg);
+            prop_assert!(outside > 0, "no sample skid outside its allocation");
+            prop_assert_eq!(fast.unattributed, registry.unattributed);
+            prop_assert_eq!(tallies(&fast), tallies(&registry));
+
+            let stats = run_once(&m, &w, &plan, &cfg).unwrap().stats;
+            let want = AccessStats::from_attribution(&registry);
+            prop_assert_eq!(
+                (stats.total_samples, stats.unattributed),
+                (want.total_samples, want.unattributed)
+            );
+            prop_assert_eq!(access_bits(&stats), access_bits(&want));
+        }
+    }
+
+    /// An attribution's per-site tallies, floats by bit pattern, sorted.
+    fn tallies(a: &Attribution) -> Vec<(SiteId, usize, u64, usize)> {
+        let mut v: Vec<_> = a
+            .by_site
+            .iter()
+            .map(|(s, t)| (*s, t.samples, t.latency_sum_ns.to_bits(), t.writes))
+            .collect();
+        v.sort();
+        v
+    }
+
+    /// Per-site access statistics, floats by bit pattern, sorted.
+    fn access_bits(stats: &AccessStats) -> Vec<(SiteId, usize, u64, u64, u64)> {
+        let mut v: Vec<_> = stats
+            .by_site
+            .iter()
+            .map(|(s, a)| {
+                let bits = (a.density.to_bits(), a.mean_latency_ns.to_bits());
+                (*s, a.samples, bits.0, bits.1, a.write_fraction.to_bits())
+            })
+            .collect();
+        v.sort();
+        v
     }
 
     #[test]

@@ -5,19 +5,21 @@
 //! campaign, measured once, and each equals that budget run alone; any
 //! shard partition merged back is bit-identical to the unsharded run
 //! (and a run against a saved cache snapshot executes zero new cells);
-//! and the Xeon Max preset rows still land in the paper's Table II
-//! bands.
+//! a profile read from the cache's profile memo changes no analysis or
+//! row bit, and a fleet with caching off never touches the memo; and
+//! the Xeon Max preset rows still land in the paper's Table II bands.
 
 use std::sync::Arc;
 
 use hmpt_fleet::{
-    run_matrix, run_matrix_sharded, run_matrix_with_cache, store, MatrixConfig, MatrixReport,
-    MeasurementCache, ScenarioMatrix, ShardReport,
+    run_matrix, run_matrix_sharded, run_matrix_with_cache, store, Fleet, FleetConfig, MatrixConfig,
+    MatrixReport, MeasurementCache, ScenarioMatrix, ShardReport, TuningJob,
 };
 use hmpt_repro::core::campaign::RepPolicy;
+use hmpt_repro::core::driver::{Analysis, Driver};
 use hmpt_repro::core::exec::ExecutorKind;
 use hmpt_repro::core::measure::CampaignConfig;
-use hmpt_repro::core::scenario::rows_bit_identical;
+use hmpt_repro::core::scenario::{rows_bit_identical, ScenarioRow};
 use hmpt_repro::sim::noise::NoiseModel;
 use hmpt_repro::sim::stream::Direction;
 use hmpt_repro::sim::units::gib;
@@ -344,6 +346,97 @@ proptest! {
         prop_assert_eq!(warm.stats.cache.misses, 0);
         prop_assert!(cold.bit_identical(&warm));
         prop_assert!(full.bit_identical(&warm));
+    }
+}
+
+/// Everything an analysis holds that a profile can reach — the profile
+/// itself, the grouping, the campaign, the Table II row and the
+/// estimator — with floats by bit pattern (their `Debug` form is
+/// round-trip exact) and the per-site statistics sorted.
+fn analysis_bits(a: &Analysis) -> String {
+    let p = &a.profile;
+    let mut sites: Vec<_> = p
+        .stats
+        .by_site
+        .iter()
+        .map(|(site, s)| {
+            let bits =
+                (s.density.to_bits(), s.mean_latency_ns.to_bits(), s.write_fraction.to_bits());
+            (*site, s.samples, bits)
+        })
+        .collect();
+    sites.sort();
+    format!(
+        "{:x} {:x} {:?} {:?} {} {} {:?} | {:?} | {:?} | {:?} | {:?}",
+        p.time_s.to_bits(),
+        p.hbm_footprint_fraction.to_bits(),
+        p.counters,
+        p.phase_costs,
+        p.stats.total_samples,
+        p.stats.unattributed,
+        sites,
+        a.groups,
+        a.campaign.measurements,
+        a.table2,
+        a.estimator,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The profile memo changes no bit: on a random workload and zoo
+    /// machine, a job that reads its profile from the memo yields an
+    /// analysis and scenario rows bit-equal to a job that profiles from
+    /// scratch. A fleet with caching off neither fills the memo nor
+    /// reads it — not even a memo that holds a wrong profile under the
+    /// job's key, which a caching fleet does read.
+    #[test]
+    fn a_memoized_profile_changes_no_bit(
+        spec in arb_workload(),
+        entry in arb_zoo_entry(),
+        seed in 0u64..1000,
+        budget_gib in 1u64..32,
+    ) {
+        let matrix = ScenarioMatrix::new(Zoo::new(vec![entry]), vec![spec.clone()])
+            .with_budgets(vec![None, Some(gib(budget_gib))])
+            .with_campaign(campaign(seed));
+        let machine = matrix.scenario(0).build_machine().unwrap();
+        let job = TuningJob::new(spec.clone())
+            .with_machine(machine.clone())
+            .with_campaign(campaign(seed));
+        let cfg = FleetConfig { online_check: false, ..FleetConfig::default() };
+        let uncached = FleetConfig { cache_enabled: false, ..cfg.clone() };
+        let rows = |a: &Analysis| -> Vec<ScenarioRow> {
+            (0..matrix.len()).map(|i| ScenarioRow::build(&matrix.scenario(i), &machine, a)).collect()
+        };
+
+        let cache = Arc::new(MeasurementCache::new());
+        let fleet = Fleet::with_cache(cfg.clone(), Arc::clone(&cache));
+        let cold = fleet.run_job(&job).unwrap().analysis;
+        prop_assert_eq!(cache.memoized_profiles(), 1);
+        let memoized = fleet.run_job(&job).unwrap().analysis;
+        let shared = Arc::new(MeasurementCache::new());
+        let fresh = Fleet::with_cache(uncached.clone(), Arc::clone(&shared))
+            .run_job(&job)
+            .unwrap()
+            .analysis;
+        prop_assert!(shared.memoized_profiles() == 0, "an uncached fleet memoized its profile");
+        prop_assert!(shared.is_empty(), "an uncached fleet stored a cell");
+        prop_assert_eq!(analysis_bits(&memoized), analysis_bits(&fresh));
+        prop_assert_eq!(analysis_bits(&cold), analysis_bits(&fresh));
+        prop_assert!(rows_bit_identical(&rows(&memoized), &rows(&fresh)));
+
+        // Plant another seed's profile under the job's key.
+        let driver = Driver::new(machine.clone());
+        let key = (machine.fingerprint(), spec.fingerprint(), driver.profile_config().fingerprint());
+        let wrong = driver.with_profile_seed(8).profile(&spec).unwrap();
+        prop_assert!(wrong.time_s != fresh.profile.time_s);
+        shared.profile_or_run(key, || Ok(wrong.clone())).unwrap();
+        let ignored = Fleet::with_cache(uncached, Arc::clone(&shared)).run_job(&job).unwrap().analysis;
+        prop_assert_eq!(analysis_bits(&ignored), analysis_bits(&fresh));
+        let read = Fleet::with_cache(cfg, shared).run_job(&job).unwrap().analysis;
+        prop_assert_eq!(read.profile.time_s.to_bits(), wrong.time_s.to_bits());
     }
 }
 

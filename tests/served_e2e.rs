@@ -12,10 +12,12 @@
 //! crash, never restores a cell the LRU bound evicted, and is not
 //! written by a warm job; the queue's journal (`queue.log`) holds
 //! exactly each job's state changes; an unreadable `queue.json` is
-//! moved aside.
+//! moved aside. A second job on the same machine × workloads reads its
+//! profiles from the shared cache's memo, and a verify re-run never
+//! consults it.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use hmpt_core::scenario::MatrixReport;
@@ -45,6 +47,15 @@ workloads = [\"mg\", \"is\"]
 budgets = [\"none\", \"16\"]
 policies = [\"fixed\"]
 ";
+
+/// Telemetry counters are process-global. The test that reads them
+/// holds this lock for writing and every other test holds it for
+/// reading, so no other test's jobs land in its counts.
+static TELEMETRY: RwLock<()> = RwLock::new(());
+
+fn shared_telemetry() -> RwLockReadGuard<'static, ()> {
+    TELEMETRY.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hmpt-served-e2e-{name}-{}", std::process::id()));
@@ -77,6 +88,7 @@ fn stats_of(coordinator: &Coordinator, job: u64) -> JobStats {
 
 #[test]
 fn tcp_submission_matches_direct_execution_and_resubmission_is_free() {
+    let _telemetry = shared_telemetry();
     let dir = temp_dir("loopback");
     let coordinator =
         Arc::new(Coordinator::open(CoordinatorConfig::new(&dir)).expect("open state dir"));
@@ -132,6 +144,7 @@ fn tcp_submission_matches_direct_execution_and_resubmission_is_free() {
 /// novel cells — never the overlap — and still reports identical bits.
 #[test]
 fn overlapping_jobs_share_the_cache_instead_of_resimulating() {
+    let _telemetry = shared_telemetry();
     // Reference: the superset spec in a fresh service, fully cold.
     let cold_dir = temp_dir("overlap-cold");
     let cold = Coordinator::open(CoordinatorConfig::new(&cold_dir)).expect("open");
@@ -180,6 +193,7 @@ fn overlapping_jobs_share_the_cache_instead_of_resimulating() {
 /// campaign groups concurrently over the shared cache.
 #[test]
 fn served_report_cache_stats_are_the_jobs_own_traffic() {
+    let _telemetry = shared_telemetry();
     let dir = temp_dir("report-traffic");
     let mut config = CoordinatorConfig::new(&dir);
     config.workers = 2;
@@ -207,6 +221,7 @@ fn served_report_cache_stats_are_the_jobs_own_traffic() {
 /// one run's, with no per-shard rollups.
 #[test]
 fn a_served_job_runs_each_campaign_group_once() {
+    let _telemetry = shared_telemetry();
     for workers in [1, 2, 3] {
         let dir = temp_dir(&format!("groups-once-{workers}"));
         let mut config = CoordinatorConfig::new(&dir);
@@ -229,6 +244,7 @@ fn a_served_job_runs_each_campaign_group_once() {
 
 #[test]
 fn tenant_quota_rejects_typed_while_other_tenants_proceed() {
+    let _telemetry = shared_telemetry();
     let dir = temp_dir("quota");
     let mut config = CoordinatorConfig::new(&dir);
     config.tenant_quota = 1;
@@ -262,6 +278,7 @@ fn tenant_quota_rejects_typed_while_other_tenants_proceed() {
 /// completion, and serves reports identical to direct execution.
 #[test]
 fn restart_adopts_queued_and_mid_flight_jobs() {
+    let _telemetry = shared_telemetry();
     let dir = temp_dir("restart");
     std::fs::create_dir_all(&dir).expect("state dir");
 
@@ -309,6 +326,7 @@ fn restart_adopts_queued_and_mid_flight_jobs() {
 /// wrong fingerprint.
 #[test]
 fn a_job_that_no_longer_matches_its_admission_fingerprint_fails() {
+    let _telemetry = shared_telemetry();
     let dir = temp_dir("fingerprint");
     std::fs::create_dir_all(&dir).expect("state dir");
     let mut queue = JobQueue::new(QueueConfig::default());
@@ -346,12 +364,43 @@ fn run_to_completion(coordinator: &Coordinator, spec: &str) -> JobStats {
     stats_of(coordinator, job)
 }
 
+/// A profile is a function of machine, workload and profiling seed, not
+/// of the campaign seed: a second job on the same machine × workloads,
+/// at another campaign seed, simulates its own cells but reads every
+/// campaign group's profile from the shared cache's memo. A job's
+/// verify re-run runs uncached, so it re-profiles without consulting
+/// the memo: a verified cold job counts one miss per campaign group.
+#[test]
+fn a_second_job_on_the_same_machine_and_workload_profiles_nothing() {
+    let _telemetry = TELEMETRY.write().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let dir = temp_dir("profile-memo");
+    let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("open");
+    let consults = || {
+        let count = |name| hmpt_obs::counter(name).get();
+        (count("profile.memo.hit"), count("profile.memo.miss"))
+    };
+    hmpt_obs::install(Arc::new(hmpt_obs::NoopCollector), true);
+    let cold = run_to_completion(&coordinator, SPEC_MG_IS);
+    let after_cold = consults();
+    let other_seed = format!("{SPEC_MG_IS}\n[campaign]\nseed = 29\n");
+    let second = run_to_completion(&coordinator, &other_seed);
+    let after_second = consults();
+    hmpt_obs::reset();
+
+    // One machine × two workloads: two campaign groups.
+    assert_eq!(after_cold, (0, 2), "the cold job profiles each group once, its verify none");
+    assert_eq!(after_second, (2, 2), "the second job reads both profiles from the memo");
+    assert!(cold.simulated_cells > 0 && second.simulated_cells > 0, "{cold:?} {second:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A job that adds fewer cells than the snapshot holds appends exactly
 /// those cells to `cache.log`; a daemon that dies without draining
 /// replays the log on reopen, folds it away, and answers both jobs
 /// again without simulating.
 #[test]
 fn a_crashed_daemon_replays_its_cache_journal() {
+    let _telemetry = shared_telemetry();
     let dir = temp_dir("journal-crash");
     let (bin, log) = (dir.join("cache.bin"), dir.join("cache.log"));
     let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("open");
@@ -384,6 +433,7 @@ fn a_crashed_daemon_replays_its_cache_journal() {
 /// a left-over log would restore.
 #[test]
 fn an_evicting_job_folds_so_the_journal_never_restores_evicted_cells() {
+    let _telemetry = shared_telemetry();
     let other_seed = spec_mg_at_seed(23);
     let superset = SPEC_MG_IS.replace("[\"mg\", \"is\"]", "[\"mg\", \"is\", \"sp\"]");
 
@@ -425,6 +475,7 @@ fn an_evicting_job_folds_so_the_journal_never_restores_evicted_cells() {
 /// bytes and its inode, and no journal appears.
 #[test]
 fn a_warm_job_writes_nothing() {
+    let _telemetry = shared_telemetry();
     let dir = temp_dir("warm-nothing");
     let (bin, log) = (dir.join("cache.bin"), dir.join("cache.log"));
     let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("open");
@@ -447,6 +498,7 @@ fn a_warm_job_writes_nothing() {
 /// next persist, and a second one never overwrites the first.
 #[test]
 fn an_unreadable_queue_snapshot_is_quarantined_not_overwritten() {
+    let _telemetry = shared_telemetry();
     let dir = temp_dir("quarantine");
     std::fs::create_dir_all(&dir).expect("state dir");
     let queue = dir.join("queue.json");
@@ -476,6 +528,7 @@ fn an_unreadable_queue_snapshot_is_quarantined_not_overwritten() {
 /// changes to `queue.log`; a drain folds the log into `queue.json`.
 #[test]
 fn a_served_job_appends_its_state_changes_to_the_queue_journal() {
+    let _telemetry = shared_telemetry();
     let dir = temp_dir("queue-journal");
     let (snapshot, log) = (dir.join("queue.json"), dir.join("queue.log"));
     let drain = |coordinator: &Coordinator| {
