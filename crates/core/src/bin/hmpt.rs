@@ -34,9 +34,10 @@ use hmpt_core::sensitivity;
 use hmpt_sim::machine::xeon_max_9468;
 use hmpt_workloads::model::WorkloadSpec;
 
-/// Resolve a workload: a built-in name, or `--spec <file.json>` for a
-/// user-defined workload in the JSON format `WorkloadSpec::to_json`
-/// emits.
+/// Resolve a workload: a built-in name by the rule campaign specs use
+/// ([`hmpt_workloads::find_table2`]: exact, else an unambiguous
+/// prefix), or `@file.json` for a user-defined workload in the JSON
+/// format `WorkloadSpec::to_json` emits.
 fn find_workload(name: &str) -> Option<WorkloadSpec> {
     if let Some(path) = name.strip_prefix('@') {
         let json =
@@ -45,9 +46,7 @@ fn find_workload(name: &str) -> Option<WorkloadSpec> {
             .map_err(|e| eprintln!("invalid workload spec {path}: {e}"))
             .ok();
     }
-    hmpt_workloads::table2_workloads().into_iter().find(|w| {
-        w.name == name || w.name.starts_with(&format!("{name}.")) || w.name.starts_with(name)
-    })
+    hmpt_workloads::find_table2(name)
 }
 
 fn usage() -> ! {

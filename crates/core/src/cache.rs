@@ -41,7 +41,7 @@
 //!
 //! ```text
 //! key = ( machine.fingerprint(), spec.fingerprint(),
-//!         RunConfig::profiling(profile_seed).fingerprint() )
+//!         RunConfig::profiling(PROFILE_SEED).fingerprint() )
 //! ```
 //!
 //! and a fleet job that finds its key skips the profiling run

@@ -56,6 +56,11 @@ impl Analysis {
     }
 }
 
+/// Seed of every profiling run. Profiles are memoized by
+/// `RunConfig::profiling(PROFILE_SEED)`'s fingerprint, and matrix and
+/// batch fingerprints fold it in, so it pins every checked-in artifact.
+pub const PROFILE_SEED: u64 = 7;
+
 /// The tuning driver.
 ///
 /// ```
@@ -73,8 +78,6 @@ pub struct Driver {
     pub machine: Machine,
     pub grouping: GroupingConfig,
     pub campaign: CampaignConfig,
-    /// Seed of the profiling run.
-    pub profile_seed: u64,
     /// How campaign cells are executed (serial by default; results are
     /// bit-identical across executors).
     pub executor: ExecutorKind,
@@ -94,7 +97,6 @@ impl Driver {
             machine,
             grouping: GroupingConfig::default(),
             campaign: CampaignConfig::default(),
-            profile_seed: 7,
             executor: ExecutorKind::Serial,
             rep_policy: RepPolicy::Fixed,
             fast_path: true,
@@ -126,16 +128,11 @@ impl Driver {
         self
     }
 
-    pub fn with_profile_seed(mut self, seed: u64) -> Self {
-        self.profile_seed = seed;
-        self
-    }
-
     /// The run configuration of [`Self::profile`]: a profile is a pure
     /// function of machine, workload and this, whose fingerprint keys
     /// the profile memo of [`crate::cache::MeasurementCache`].
     pub fn profile_config(&self) -> RunConfig {
-        RunConfig::profiling(self.profile_seed)
+        RunConfig::profiling(PROFILE_SEED)
     }
 
     /// Step 1: the profiling run (all-DDR, IBS on).

@@ -103,6 +103,17 @@ fn unknown_workload_is_reported() {
 }
 
 #[test]
+fn workload_names_resolve_like_campaign_specs() {
+    // An exact name, else an unambiguous prefix; an empty name is refused.
+    assert_eq!(stdout(&["export", "mg"]), stdout(&["export", "mg.D"]));
+    for command in ["analyze", "detailed", "export"] {
+        let out = hmpt(&[command, ""]);
+        assert!(!out.status.success(), "hmpt {command} \"\" exited 0");
+        assert!(out.stdout.is_empty(), "hmpt {command} \"\" printed a workload");
+    }
+}
+
+#[test]
 fn diagnose_shows_before_and_after() {
     let s = stdout(&["diagnose", "mg"]);
     assert!(s.contains("DDR-only baseline"));

@@ -54,9 +54,11 @@ use hmpt_core::exec::available_workers;
 use hmpt_fleet::api::{self, BatchOutcome, Comparison, MergeRequest, Request, Response};
 use hmpt_fleet::cli::{self, Action, ClientCmd, ReportCmd};
 use hmpt_fleet::spec::{CampaignSpec, Resolved, ResolvedBatch, TelemetrySection};
-use hmpt_fleet::telemetry::{bench_jsonl, summarize_trace, summarize_trace_json, BenchLine};
+use hmpt_fleet::telemetry::{
+    bench_jsonl, summarize_trace, summarize_trace_json, BenchLine, LiveSummary,
+};
 use hmpt_fleet::{store, MatrixReport, ScenarioRow, ShardReport};
-use hmpt_obs::{Collector, Fanout, JsonlCollector, MemoryCollector, StderrCollector};
+use hmpt_obs::{Collector, Fanout, JsonlCollector, StderrCollector};
 use hmpt_report::{CampaignRecord, Thresholds, Warehouse};
 use hmpt_served::state::{JobState, JobStatus};
 use hmpt_served::wire::StatusView;
@@ -111,7 +113,8 @@ fn usage() -> ! {
          \x20                 (TOML, or JSON for .json) and exit without running\n\
          telemetry options (batch, scenarios, run):\n\
          \x20 --trace-out P   write a span/counter/event trace (JSONL) to P\n\
-         \x20 --metrics       print the aggregated metrics table on finish\n\
+         \x20 --metrics       print the run's trace summary (as `trace summarize`\n\
+         \x20                 renders it) on finish\n\
          \x20 --quiet, -q     suppress info-level status lines (warnings remain)\n\
          \x20 --bench-out P   write criterion-style {{\"bench\":…}} JSONL timings to P\n\
          scenarios options:\n\
@@ -162,7 +165,7 @@ fn usage() -> ! {
          \x20 --quota N       max live jobs per tenant (default 4)\n\
          \x20 --cache-max N   LRU bound on the shared cross-job cache\n\
          \x20 --trace-out P   write the daemon's span/counter trace (JSONL) to P\n\
-         \x20 --metrics       print the metrics table when the daemon exits\n\
+         \x20 --metrics       print the daemon's trace summary when it exits\n\
          \x20 --quiet, -q     suppress info-level status lines (warnings remain)\n\
          \x20 (SIGTERM or `hmpt-fleet drain` stops it gracefully: the running\n\
          \x20  job finishes, queued jobs persist and are adopted on restart)\n\
@@ -273,7 +276,7 @@ fn serve(
         quiet: quiet.then_some(true),
         bench: None,
     };
-    let memory = install_telemetry(&telemetry);
+    let live = install_telemetry(&telemetry);
     let mut cfg = CoordinatorConfig::new(&state_dir);
     if let Some(w) = workers {
         cfg.workers = w;
@@ -296,10 +299,7 @@ fn serve(
     #[cfg(unix)]
     watch_sigterm(coordinator.clone());
     coordinator.run();
-    hmpt_obs::flush();
-    if let Some(memory) = &memory {
-        print_metrics(memory);
-    }
+    finish_telemetry(live);
 }
 
 /// Turn SIGTERM into a graceful drain. The handler itself only flips an
@@ -636,64 +636,36 @@ fn bench_of(mode: &str, wall_s: f64, executed_cells: u64) -> Vec<BenchLine> {
 }
 
 /// Install the collector stack a spec's `[telemetry]` section asks for.
-/// Returns the memory collector when `--metrics` wants a table rendered
-/// at the end. Recording turns on only when some sink will consume
-/// spans — otherwise the run stays on the no-op path.
-fn install_telemetry(
-    telemetry: &hmpt_fleet::spec::TelemetrySection,
-) -> Option<Arc<MemoryCollector>> {
+/// Returns the live summary when `--metrics` wants it rendered at the
+/// end. Recording turns on only when some sink will consume spans —
+/// otherwise the run stays on the no-op path.
+fn install_telemetry(telemetry: &TelemetrySection) -> Option<Arc<LiveSummary>> {
     let quiet = telemetry.quiet.unwrap_or(false);
     let want_metrics = telemetry.metrics.unwrap_or(false);
-    let memory = want_metrics.then(|| Arc::new(MemoryCollector::new()));
+    let live = want_metrics.then(Arc::<LiveSummary>::default);
     let mut sinks: Vec<Arc<dyn Collector>> = vec![Arc::new(StderrCollector { quiet })];
     if let Some(path) = &telemetry.trace {
         let jsonl = JsonlCollector::create(std::path::Path::new(path))
             .unwrap_or_else(|e| fail(format!("cannot create trace file {path}: {e}")));
         sinks.push(Arc::new(jsonl));
     }
-    if let Some(memory) = &memory {
-        sinks.push(memory.clone() as Arc<dyn Collector>);
+    if let Some(live) = &live {
+        sinks.push(live.clone() as Arc<dyn Collector>);
     }
     let record = telemetry.trace.is_some() || want_metrics;
     hmpt_obs::install(Arc::new(Fanout::new(sinks)), record);
-    memory
+    live
 }
 
-/// The `--metrics` table: span aggregates plus every non-zero counter
-/// and gauge. Printed directly (not as an event) — an explicit
-/// `--metrics` outranks `--quiet`.
-fn print_metrics(memory: &MemoryCollector) {
-    eprintln!("metrics:");
-    let aggregates = memory.span_aggregates();
-    if !aggregates.is_empty() {
-        let percentiles: std::collections::BTreeMap<String, hmpt_obs::SpanPercentiles> =
-            memory.span_percentiles().into_iter().collect();
-        eprintln!(
-            "  {:<20} {:>8} {:>12} {:>12} {:>10} {:>10} {:>10}",
-            "span", "count", "total_ns", "mean_ns", "p50_ns", "p95_ns", "p99_ns"
-        );
-        for (name, agg) in aggregates {
-            let p = percentiles.get(&name);
-            let pct = |f: fn(&hmpt_obs::SpanPercentiles) -> u64| {
-                p.map(|p| f(p).to_string()).unwrap_or_else(|| "-".to_string())
-            };
-            eprintln!(
-                "  {:<20} {:>8} {:>12} {:>12} {:>10} {:>10} {:>10}",
-                name,
-                agg.count,
-                agg.total_ns,
-                agg.mean_ns(),
-                pct(|p| p.p50_ns),
-                pct(|p| p.p95_ns),
-                pct(|p| p.p99_ns)
-            );
-        }
-    }
-    for (name, value) in hmpt_obs::counters() {
-        eprintln!("  {name} = {value}");
-    }
-    for (name, value) in hmpt_obs::gauges() {
-        eprintln!("  {name} = {value} (gauge)");
+/// Deliver counter and gauge totals to every sink and flush the trace
+/// before the process exits — a trace missing its counters reads as a
+/// cache that never hit — then print the `--metrics` summary: the
+/// `trace summarize` rendering of the same records. Printed directly
+/// (not as an event) — an explicit `--metrics` outranks `--quiet`.
+fn finish_telemetry(live: Option<Arc<LiveSummary>>) {
+    hmpt_obs::flush();
+    if let Some(live) = live {
+        eprint!("metrics:\n{}", live.summary().render_human());
     }
 }
 
@@ -701,7 +673,7 @@ fn print_metrics(memory: &MemoryCollector) {
 /// spec is resolved once; the banner, the run and the report share it.
 fn execute(spec: CampaignSpec, out: Option<String>) {
     let telemetry = spec.telemetry.clone().unwrap_or_default();
-    let memory = install_telemetry(&telemetry);
+    let live = install_telemetry(&telemetry);
     let resolved = spec.resolve().unwrap_or_else(|e| fail(e));
     describe(&resolved);
     let t0 = Instant::now();
@@ -779,13 +751,7 @@ fn execute(spec: CampaignSpec, out: Option<String>) {
         Response::Merge(_) => unreachable!("specs never denote merges"),
     };
 
-    // Deliver counter/gauge totals to the trace and flush it before the
-    // process exits — a trace missing its counters reads as a cache
-    // that never hit.
-    hmpt_obs::flush();
-    if let Some(memory) = &memory {
-        print_metrics(memory);
-    }
+    finish_telemetry(live);
     if let Some(path) = &telemetry.bench {
         std::fs::write(path, bench_jsonl(&bench))
             .unwrap_or_else(|e| fail(format!("cannot write bench file {path}: {e}")));

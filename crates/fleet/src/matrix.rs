@@ -34,6 +34,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
+use hmpt_core::driver::PROFILE_SEED;
 use hmpt_core::error::TunerError;
 use hmpt_core::exec::ExecutorKind;
 use hmpt_core::grouping::GroupingConfig;
@@ -58,8 +59,6 @@ pub struct MatrixConfig {
     /// Consult the shared content-addressed cache per cell.
     pub cache_enabled: bool,
     pub grouping: GroupingConfig,
-    /// Seed of each campaign's profiling run.
-    pub profile_seed: u64,
     /// Evaluate campaign cells through the batched cold-path kernel
     /// (default true; bit-identical by contract, so — like the executor
     /// choice — deliberately excluded from [`Self::bits_fingerprint`]).
@@ -76,7 +75,6 @@ impl Default for MatrixConfig {
             job_workers: fleet.job_workers,
             cache_enabled: fleet.cache_enabled,
             grouping: fleet.grouping,
-            profile_seed: fleet.profile_seed,
             fast_path: fleet.fast_path,
         }
     }
@@ -84,12 +82,13 @@ impl Default for MatrixConfig {
 
 impl MatrixConfig {
     /// Content fingerprint of the execution settings that determine row
-    /// *bits*: the profiling seed and the grouping parameters. Executor
-    /// choice, job workers and caching are deliberately
+    /// *bits*: the grouping parameters, combined with the constant
+    /// [`PROFILE_SEED`] (still folded in, so pinned fingerprints stay
+    /// put). Executor choice, job workers and caching are deliberately
     /// excluded — bit-identity across those is the subsystem's core
     /// invariant, so they may legitimately differ between shards.
     pub fn bits_fingerprint(&self) -> Fingerprint {
-        Fingerprint::of(&self.grouping).combine(self.profile_seed)
+        Fingerprint::of(&self.grouping).combine(PROFILE_SEED)
     }
 
     /// The fingerprint of running `matrix` under these settings: the
@@ -109,7 +108,6 @@ impl MatrixConfig {
         FleetConfig {
             executor: self.executor,
             grouping: self.grouping,
-            profile_seed: self.profile_seed,
             online_check: false,
             cache_enabled: self.cache_enabled,
             job_workers: self.job_workers,
@@ -369,24 +367,23 @@ mod tests {
 
     #[test]
     fn shards_with_different_execution_settings_refuse_to_merge() {
-        // is's two hottest allocations draw within a few percent of each
-        // other's samples, so the profiling seed decides their order.
-        let zoo = Zoo::parse("xeon-max,hbm-flat").unwrap();
-        let matrix = ScenarioMatrix::new(zoo, vec![hmpt_workloads::npb::is::workload()])
-            .with_budgets(vec![None, Some(gib(16))]);
+        let matrix = tiny_matrix();
         let shard = |cfg: &MatrixConfig, k| {
             run_matrix_sharded(&matrix, cfg, matrix.shard(k, 2), Arc::new(MeasurementCache::new()))
                 .unwrap()
         };
-        let reseeded = MatrixConfig { profile_seed: 9, ..MatrixConfig::default() };
+        let regrouped = MatrixConfig {
+            grouping: GroupingConfig { max_groups: 2, ..GroupingConfig::default() },
+            ..MatrixConfig::default()
+        };
         let a = shard(&MatrixConfig::default(), 0);
-        // Same matrix, different profiling seed: row bits differ, so
-        // the combined fingerprint must refuse the merge.
+        // Same matrix, different grouping: row bits differ, so the
+        // combined fingerprint must refuse the merge.
         assert!(
-            !hmpt_core::scenario::rows_bit_identical(&a.rows, &shard(&reseeded, 0).rows),
-            "the profiling seed must reach the rows"
+            !hmpt_core::scenario::rows_bit_identical(&a.rows, &shard(&regrouped, 0).rows),
+            "the grouping must reach the rows"
         );
-        let b = shard(&reseeded, 1);
+        let b = shard(&regrouped, 1);
         assert!(matches!(
             MatrixReport::merge(&[a, b]),
             Err(hmpt_core::scenario::MergeError::MatrixMismatch { .. })

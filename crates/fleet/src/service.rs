@@ -53,8 +53,6 @@ pub struct FleetConfig {
     /// configurations early once their mean is known tightly enough).
     pub rep_policy: RepPolicy,
     pub grouping: GroupingConfig,
-    /// Seed of each job's profiling run.
-    pub profile_seed: u64,
     /// Run the online tuner through the warmed cache after each job's
     /// exhaustive campaign (verifies agreement; free on cache hits).
     /// Probes measure at the campaign's nominal `runs_per_config`, so
@@ -106,7 +104,6 @@ impl Default for FleetConfig {
             executor: ExecutorKind::Serial,
             rep_policy: RepPolicy::Fixed,
             grouping: GroupingConfig::default(),
-            profile_seed: 7,
             online_check: true,
             cache_enabled: true,
             job_workers: 0,
@@ -339,8 +336,7 @@ impl Fleet {
             .with_grouping(self.cfg.grouping)
             .with_campaign(job.campaign)
             .with_executor(executor)
-            .with_fast_path(self.cfg.fast_path)
-            .with_profile_seed(self.cfg.profile_seed);
+            .with_fast_path(self.cfg.fast_path);
         // The job's machine and spec fingerprints, taken once: they key
         // its profile in the memo and are the first two words of every
         // cell key.

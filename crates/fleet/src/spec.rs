@@ -74,6 +74,7 @@
 use std::path::PathBuf;
 
 use hmpt_core::campaign::RepPolicy;
+use hmpt_core::driver::PROFILE_SEED;
 use hmpt_core::exec::ExecutorKind;
 use hmpt_core::measure::CampaignConfig;
 use hmpt_core::scenario::{parse_budget, ScenarioMatrix, ShardSpec};
@@ -291,7 +292,8 @@ impl Resolved {
                     }
                 }
                 h.write_u64(Fingerprint::of(&b.fleet.grouping).raw());
-                h.write_u64(b.fleet.profile_seed);
+                // Once a setting; still hashed so pinned fingerprints stay put.
+                h.write_u64(PROFILE_SEED);
                 Fingerprint::from_raw(h.finish())
             }
         }

@@ -1,15 +1,19 @@
 //! Trace rendering and bench export — the read side of `hmpt_obs`.
 //!
 //! The write side lives in the `hmpt_obs` crate (spans, counters,
-//! collectors); this module consumes what an `hmpt_obs::JsonlCollector`
-//! wrote:
+//! collectors); this module folds a run's records, one at a time, into
+//! a typed [`TraceSummary`] — per-span statistics with exact
+//! p50/p95/p99 percentiles, per-campaign rollups, counter/gauge totals,
+//! and the derived cell-throughput and cache-flow views. One fold has
+//! two feeds:
 //!
-//! * [`parse_trace`] folds a trace JSONL document into a typed
-//!   [`TraceSummary`] — per-span statistics with exact p50/p95/p99
-//!   percentiles, per-campaign rollups, counter/gauge totals, and the
-//!   derived cell-throughput and cache-flow views. It is a pure
-//!   text → data function, so both renderers and the campaign
-//!   warehouse (`hmpt_report`) ingest traces through one parser.
+//! * [`parse_trace`] feeds it the lines an `hmpt_obs::JsonlCollector`
+//!   wrote. It is a pure text → data function, so both renderers and
+//!   the campaign warehouse (`hmpt_report`) ingest traces through one
+//!   parser.
+//! * [`LiveSummary`] is a collector that feeds it a live run's records
+//!   — the `--metrics` view, byte-identical to `trace summarize` of the
+//!   same run's trace.
 //! * [`summarize_trace`] renders the summary the way `hmpt-fleet trace
 //!   summarize FILE` shows it; [`summarize_trace_json`] emits the same
 //!   content as machine-readable JSON (`trace summarize FILE --json`),
@@ -27,8 +31,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::{Mutex, MutexGuard};
 
-use hmpt_obs::SpanPercentiles;
+use hmpt_obs::{Collector, EventRecord, SpanPercentiles, SpanRecord};
 use serde::{Serialize, Value};
 
 /// One criterion-compatible measurement line.
@@ -133,8 +138,8 @@ pub struct CacheFlow {
     pub entries: u64,
 }
 
-/// Everything a trace JSONL document folds down to — the one typed
-/// view behind the human renderer, the `--json` renderer, and the
+/// Everything a run's records fold down to — the one typed view behind
+/// the human renderer, the `--json` renderer, `--metrics`, and the
 /// campaign warehouse's trace ingestion.
 #[derive(Debug, Clone)]
 pub struct TraceSummary {
@@ -218,19 +223,94 @@ fn field_str<'v>(obj: &'v Value, key: &str, line_no: usize) -> Result<&'v str, S
         .ok_or_else(|| format!("trace line {line_no}: missing or non-string `{key}`"))
 }
 
+/// The one fold of a run's records, one record at a time. A trace file
+/// reaches it through [`parse_trace`], a live run through
+/// [`LiveSummary`], so both read the same summary off the same records.
+#[derive(Debug, Default)]
+struct Fold {
+    span_lines: u64,
+    event_lines: u64,
+    spans: BTreeMap<String, Agg>,
+    scenarios: Vec<ScenarioSpan>,  // fleet.job details
+    serve_jobs: Vec<ScenarioSpan>, // serve.job details
+    serve_merges: BTreeMap<String, u64>,
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, u64>,
+}
+
+impl Fold {
+    fn span(&mut self, name: &str, detail: Option<&str>, dur_ns: u64) {
+        self.span_lines += 1;
+        self.spans.entry(name.to_string()).or_default().record(dur_ns);
+        let Some(detail) = detail else { return };
+        let labeled = || ScenarioSpan { detail: detail.to_string(), dur_ns };
+        match name {
+            "fleet.job" => self.scenarios.push(labeled()),
+            "serve.job" => self.serve_jobs.push(labeled()),
+            "serve.merge" => {
+                self.serve_merges.insert(detail.to_string(), dur_ns);
+            }
+            _ => {}
+        }
+    }
+
+    /// Last write wins: a flush delivers totals, not deltas.
+    fn counter(&mut self, name: &str, value: u64) {
+        self.counters.insert(name.to_string(), value);
+    }
+
+    fn gauge(&mut self, name: &str, value: u64) {
+        self.gauges.insert(name.to_string(), value);
+    }
+
+    fn summary(&self) -> TraceSummary {
+        let slowest_first = |spans: &[ScenarioSpan]| {
+            let mut spans = spans.to_vec();
+            spans.sort_by(|a, b| b.dur_ns.cmp(&a.dur_ns).then(a.detail.cmp(&b.detail)));
+            spans
+        };
+        let spans = self
+            .spans
+            .iter()
+            .map(|(name, agg)| {
+                let p = SpanPercentiles::of(&agg.durations)
+                    .expect("a recorded span name has at least one duration");
+                let summary = SpanSummary {
+                    count: agg.count,
+                    total_ns: agg.total_ns,
+                    mean_ns: agg.total_ns / agg.count.max(1),
+                    min_ns: agg.min_ns,
+                    max_ns: agg.max_ns,
+                    p50_ns: p.p50_ns,
+                    p95_ns: p.p95_ns,
+                    p99_ns: p.p99_ns,
+                };
+                (name.clone(), summary)
+            })
+            .collect();
+        TraceSummary {
+            span_lines: self.span_lines,
+            event_lines: self.event_lines,
+            spans,
+            scenarios: slowest_first(&self.scenarios),
+            counters: self.counters.clone(),
+            gauges: self.gauges.clone(),
+            buckets: self.spans.iter().map(|(name, agg)| (name.clone(), agg.buckets)).collect(),
+            serve_jobs: slowest_first(&self.serve_jobs),
+            serve_merges: self.serve_merges.clone(),
+        }
+    }
+}
+
 /// Fold a trace JSONL document into a [`TraceSummary`]. Errors name the
 /// offending line; an empty trace is an error (a run that produced no
 /// telemetry is a writer bug, not a quiet success).
 pub fn parse_trace(text: &str) -> Result<TraceSummary, String> {
-    let mut spans: BTreeMap<String, Agg> = BTreeMap::new();
-    let mut scenarios: Vec<ScenarioSpan> = Vec::new(); // fleet.job details
-    let mut serve_jobs: Vec<ScenarioSpan> = Vec::new(); // serve.job details
-    let mut serve_merges: BTreeMap<String, u64> = BTreeMap::new();
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut gauges: BTreeMap<String, u64> = BTreeMap::new();
-    let mut span_lines = 0u64;
-    let mut event_lines = 0u64;
-
+    // Every non-blank line is a record or an error.
+    if text.trim().is_empty() {
+        return Err("trace is empty".to_string());
+    }
+    let mut fold = Fold::default();
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
         if line.trim().is_empty() {
@@ -240,85 +320,69 @@ pub fn parse_trace(text: &str) -> Result<TraceSummary, String> {
             .map_err(|e| format!("trace line {line_no}: not valid JSON: {e}"))?;
         match field_str(&value, "type", line_no)? {
             "span" => {
-                span_lines += 1;
                 let name = field_str(&value, "name", line_no)?;
                 let dur_ns = field_u64(&value, "dur_ns", line_no)?;
                 field_u64(&value, "id", line_no)?;
                 field_u64(&value, "thread", line_no)?;
                 field_u64(&value, "t_us", line_no)?;
-                spans.entry(name.to_string()).or_default().record(dur_ns);
-                if name == "fleet.job" {
-                    if let Some(detail) = value.get("detail").and_then(Value::as_str) {
-                        scenarios.push(ScenarioSpan { detail: detail.to_string(), dur_ns });
-                    }
-                }
-                if name == "serve.job" {
-                    if let Some(detail) = value.get("detail").and_then(Value::as_str) {
-                        serve_jobs.push(ScenarioSpan { detail: detail.to_string(), dur_ns });
-                    }
-                }
-                if name == "serve.merge" {
-                    if let Some(detail) = value.get("detail").and_then(Value::as_str) {
-                        serve_merges.insert(detail.to_string(), dur_ns);
-                    }
-                }
+                fold.span(name, value.get("detail").and_then(Value::as_str), dur_ns);
             }
             "event" => {
-                event_lines += 1;
                 field_str(&value, "level", line_no)?;
                 field_str(&value, "name", line_no)?;
                 field_str(&value, "msg", line_no)?;
+                fold.event_lines += 1;
             }
             "counter" => {
                 let name = field_str(&value, "name", line_no)?;
-                let v = field_u64(&value, "value", line_no)?;
-                // Last write wins: a flush writes totals, not deltas.
-                counters.insert(name.to_string(), v);
+                fold.counter(name, field_u64(&value, "value", line_no)?);
             }
             "gauge" => {
                 let name = field_str(&value, "name", line_no)?;
-                let v = field_u64(&value, "value", line_no)?;
-                gauges.insert(name.to_string(), v);
+                fold.gauge(name, field_u64(&value, "value", line_no)?);
             }
             other => return Err(format!("trace line {line_no}: unknown record type `{other}`")),
         }
     }
-    if span_lines == 0 && event_lines == 0 && counters.is_empty() && gauges.is_empty() {
-        return Err("trace is empty".to_string());
+    Ok(fold.summary())
+}
+
+/// A collector that folds a live run's spans, events, counters and
+/// gauges exactly as [`parse_trace`] folds the run's `--trace-out`
+/// file — the `--metrics` view, so `--metrics` prints what `hmpt-fleet
+/// trace summarize` prints for the same run.
+#[derive(Debug, Default)]
+pub struct LiveSummary {
+    fold: Mutex<Fold>,
+}
+
+impl LiveSummary {
+    /// The summary of every record seen so far.
+    pub fn summary(&self) -> TraceSummary {
+        self.fold().summary()
     }
 
-    scenarios.sort_by(|a, b| b.dur_ns.cmp(&a.dur_ns).then(a.detail.cmp(&b.detail)));
-    serve_jobs.sort_by(|a, b| b.dur_ns.cmp(&a.dur_ns).then(a.detail.cmp(&b.detail)));
-    let buckets = spans.iter().map(|(name, agg)| (name.clone(), agg.buckets)).collect();
-    let spans = spans
-        .into_iter()
-        .map(|(name, agg)| {
-            let p = SpanPercentiles::of(&agg.durations)
-                .expect("a recorded span name has at least one duration");
-            let summary = SpanSummary {
-                count: agg.count,
-                total_ns: agg.total_ns,
-                mean_ns: agg.total_ns / agg.count.max(1),
-                min_ns: agg.min_ns,
-                max_ns: agg.max_ns,
-                p50_ns: p.p50_ns,
-                p95_ns: p.p95_ns,
-                p99_ns: p.p99_ns,
-            };
-            (name, summary)
-        })
-        .collect();
-    Ok(TraceSummary {
-        span_lines,
-        event_lines,
-        spans,
-        scenarios,
-        counters,
-        gauges,
-        buckets,
-        serve_jobs,
-        serve_merges,
-    })
+    fn fold(&self) -> MutexGuard<'_, Fold> {
+        self.fold.lock().expect("no fold update panics, so nothing poisons the lock")
+    }
+}
+
+impl Collector for LiveSummary {
+    fn span(&self, r: &SpanRecord) {
+        self.fold().span(r.name, r.detail.as_deref(), r.dur_ns);
+    }
+
+    fn event(&self, _record: &EventRecord) {
+        self.fold().event_lines += 1;
+    }
+
+    fn counter(&self, name: &'static str, value: u64) {
+        self.fold().counter(name, value);
+    }
+
+    fn gauge(&self, name: &'static str, value: u64) {
+        self.fold().gauge(name, value);
+    }
 }
 
 impl TraceSummary {
@@ -384,7 +448,8 @@ impl TraceSummary {
     }
 
     /// The human rendering (the default body of `hmpt-fleet trace
-    /// summarize FILE`).
+    /// summarize FILE`, and what `--metrics` prints at exit): every span
+    /// name, every counter and every gauge.
     pub fn render_human(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -406,7 +471,7 @@ impl TraceSummary {
                 "  {:<16} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
                 "span", "count", "total", "mean", "p50", "p95", "p99", "max"
             );
-            for (name, s) in by_total.iter().take(12) {
+            for (name, s) in &by_total {
                 let _ = writeln!(
                     out,
                     "  {:<16} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
@@ -500,7 +565,8 @@ impl TraceSummary {
             );
         }
 
-        if let Some(c) = self.cache_flow() {
+        let flow = self.cache_flow();
+        if let Some(c) = flow {
             let _ = writeln!(
                 out,
                 "\ncache flow: {} hits / {} misses (hit-rate {:.1}%), {} evicted, \
@@ -515,15 +581,26 @@ impl TraceSummary {
             );
         }
 
-        // Everything else, raw.
-        let shown =
-            ["cache.hit", "cache.miss", "cache.evict", "store.bytes_written", "store.bytes_read"];
-        let rest: Vec<(&String, &u64)> =
-            self.counters.iter().filter(|(k, _)| !shown.contains(&k.as_str())).collect();
-        if !rest.is_empty() {
-            let _ = writeln!(out, "\ncounters:");
-            for (name, v) in rest {
-                let _ = writeln!(out, "  {name} = {v}");
+        // Every counter and gauge the cache-flow line did not show, raw.
+        let shown: &[&str] = match flow {
+            Some(_) => &[
+                "cache.hit",
+                "cache.miss",
+                "cache.evict",
+                "store.bytes_written",
+                "store.bytes_read",
+                "cache.entries",
+            ],
+            None => &[],
+        };
+        for (title, values) in [("counters", &self.counters), ("gauges", &self.gauges)] {
+            let rest: Vec<(&String, &u64)> =
+                values.iter().filter(|(k, _)| !shown.contains(&k.as_str())).collect();
+            if !rest.is_empty() {
+                let _ = writeln!(out, "\n{title}:");
+                for (name, v) in rest {
+                    let _ = writeln!(out, "  {name} = {v}");
+                }
             }
         }
         out
@@ -568,6 +645,8 @@ pub fn summarize_trace_json(text: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmpt_obs::{Fanout, JsonlCollector, Level};
+    use std::sync::Arc;
 
     fn span_line(name: &str, detail: Option<&str>, dur_ns: u64) -> String {
         format!(
@@ -709,6 +788,116 @@ mod tests {
             let err = summarize_trace_json(doc).unwrap_err();
             assert!(err.contains(what), "json path: {doc:?} → {err}");
         }
+    }
+
+    /// A writer the test reads back once the collector has flushed.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn span_record(id: u64, name: &'static str, detail: Option<&str>, dur_ns: u64) -> SpanRecord {
+        let detail = detail.map(str::to_string);
+        SpanRecord { name, detail, id, parent: None, thread: 0, start_us: id, dur_ns }
+    }
+
+    #[test]
+    fn a_live_summary_equals_the_parse_of_its_own_trace() {
+        let buf = SharedBuf::default();
+        let live = Arc::new(LiveSummary::default());
+        let run = Fanout::new(vec![
+            Arc::new(JsonlCollector::from_writer(Box::new(buf.clone()))),
+            live.clone(),
+        ]);
+        let spans = [
+            ("exec.cell", None, 900),
+            ("exec.cell", None, 1_500_000),
+            ("fleet.job", Some("#0..2 xeon-max·mg.D"), 2_000_000),
+            ("fleet.job", Some("a \"quoted\\ label\nover\ttwo lines"), 9_000_000),
+            ("serve.queue_wait", Some("job 1"), 1_000_000),
+            ("serve.job", Some("job 1 ci"), 60_000_000),
+            ("serve.merge", Some("job 1"), 6_000_000),
+        ];
+        for (id, (name, detail, dur_ns)) in (1..).zip(spans) {
+            run.span(&span_record(id, name, detail, dur_ns));
+        }
+        for (level, message) in [(Level::Info, "done \"ok\""), (Level::Warn, "tab\there")] {
+            run.event(&EventRecord { level, name: "fleet.status", message: message.into() });
+        }
+        run.counter("cache.hit", 1);
+        run.counter("cache.hit", 3); // a later flush's total wins
+        run.counter("cache.miss", 1);
+        run.counter("store.bytes_written", 64);
+        run.gauge("cache.entries", 4);
+        run.gauge("queue.depth", 2);
+        run.flush();
+
+        let trace = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let parsed = parse_trace(&trace).unwrap();
+        let live = live.summary();
+        assert_eq!(live.to_json(), parsed.to_json());
+        assert_eq!(live.render_human(), parsed.render_human());
+        assert_eq!(live.counters["cache.hit"], 3);
+        assert_eq!(live.scenarios[0].detail, "a \"quoted\\ label\nover\ttwo lines");
+    }
+
+    #[test]
+    fn a_live_summary_aggregates_spans_by_name() {
+        let live = LiveSummary::default();
+        for (id, dur_ns) in (1..).zip([4_000, 1_000, 3_000, 2_000]) {
+            live.span(&span_record(id, "test.agg", None, dur_ns));
+        }
+        live.event(&EventRecord { level: Level::Info, name: "test.aggline", message: "hi".into() });
+        let summary = live.summary();
+        assert_eq!(summary.spans.len(), 1);
+        let agg = summary.spans["test.agg"];
+        assert_eq!((agg.count, agg.total_ns), (4, 10_000));
+        assert_eq!((agg.min_ns, agg.mean_ns, agg.max_ns), (1_000, 2_500, 4_000));
+        assert_eq!((summary.span_lines, summary.event_lines), (4, 1));
+    }
+
+    #[test]
+    fn the_human_summary_shows_every_span_counter_and_gauge() {
+        let mut trace: Vec<String> =
+            (0..14).map(|i| span_line(&format!("phase.{i:02}"), None, 1_000 * (i + 1))).collect();
+        for (kind, name, value) in [
+            ("counter", "store.bytes_written", 4096),
+            ("counter", "store.bytes_read", 1024),
+            ("counter", "cache.evict", 5),
+            ("counter", "job.merged", 2),
+            ("gauge", "queue.depth", 3),
+            ("gauge", "cache.entries", 7),
+        ] {
+            trace.push(format!("{{\"type\":\"{kind}\",\"name\":\"{name}\",\"value\":{value}}}"));
+        }
+        let text = summarize_trace(&trace.join("\n")).unwrap();
+        for i in 0..14 {
+            assert!(text.contains(&format!("  phase.{i:02} ")), "span row {i} missing: {text}");
+        }
+        assert!(!text.contains("cache flow:"), "no lookups, so no cache-flow line: {text}");
+        for row in [
+            "store.bytes_written = 4096",
+            "store.bytes_read = 1024",
+            "cache.evict = 5",
+            "job.merged = 2",
+            "queue.depth = 3",
+            "cache.entries = 7",
+        ] {
+            assert!(text.contains(row), "{row} missing: {text}");
+        }
+        // With lookups, the cache-flow line shows the cache rows instead.
+        let text = summarize_trace(&sample_trace()).unwrap();
+        assert!(text.contains("4 entries resident"), "{text}");
+        assert!(!text.contains("cache.entries ="), "{text}");
+        assert!(!text.contains("cache.hit ="), "{text}");
     }
 
     #[test]

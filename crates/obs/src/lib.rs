@@ -4,7 +4,12 @@
 //! dependency-free idiom: [`span`]s (nestable, thread-aware, timed on
 //! the monotonic clock), [`counter`]s and [`gauge`]s (atomic,
 //! registry-keyed), structured events ([`info`]/[`warn`]), and a
-//! pluggable [`Collector`] (no-op, in-memory aggregate, JSONL writer).
+//! pluggable [`Collector`] (no-op, stderr, JSONL writer, fan-out).
+//!
+//! This crate is the write side. The read side — folding a run's
+//! records into per-span statistics, rollups and the cache-flow view —
+//! is `hmpt_fleet::telemetry`, whose one fold reads a `--trace-out`
+//! file or, as its `LiveSummary` collector, a live run (`--metrics`).
 //!
 //! ## The zero-perturbation contract
 //!
@@ -31,18 +36,29 @@
 //! ## Quick start
 //!
 //! ```
-//! use std::sync::Arc;
+//! use std::sync::{Arc, Mutex};
+//! use hmpt_obs::{Collector, SpanRecord};
 //!
-//! let mem = Arc::new(hmpt_obs::MemoryCollector::new());
-//! hmpt_obs::install(mem.clone(), true);
+//! /// Keeps the name of every closed span.
+//! #[derive(Default)]
+//! struct Names(Mutex<Vec<&'static str>>);
+//!
+//! impl Collector for Names {
+//!     fn span(&self, record: &SpanRecord) {
+//!         self.0.lock().unwrap().push(record.name);
+//!     }
+//! }
+//!
+//! let names = Arc::new(Names::default());
+//! hmpt_obs::install(names.clone(), true);
 //! {
 //!     let _outer = hmpt_obs::span("demo.outer");
 //!     let _inner = hmpt_obs::span("demo.inner");
 //!     hmpt_obs::counter("demo.cells").add(3);
 //! }
 //! hmpt_obs::flush();
-//! let spans = mem.span_aggregates();
-//! assert_eq!(spans.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(), ["demo.inner", "demo.outer"]);
+//! // Guards close innermost-first.
+//! assert_eq!(*names.0.lock().unwrap(), ["demo.inner", "demo.outer"]);
 //! assert_eq!(hmpt_obs::counter("demo.cells").get(), 3);
 //! hmpt_obs::reset();
 //! ```
@@ -157,33 +173,6 @@ impl Collector for StderrCollector {
     }
 }
 
-/// Per-name span aggregate kept by [`MemoryCollector`].
-#[derive(Debug, Clone, Copy)]
-pub struct SpanAggregate {
-    /// Number of spans closed under this name.
-    pub count: u64,
-    /// Sum of durations, nanoseconds.
-    pub total_ns: u64,
-    /// Shortest observed duration, nanoseconds.
-    pub min_ns: u64,
-    /// Longest observed duration, nanoseconds.
-    pub max_ns: u64,
-}
-
-impl SpanAggregate {
-    fn absorb(&mut self, dur_ns: u64) {
-        self.count += 1;
-        self.total_ns += dur_ns;
-        self.min_ns = self.min_ns.min(dur_ns);
-        self.max_ns = self.max_ns.max(dur_ns);
-    }
-
-    /// Mean duration in nanoseconds (0 for an empty aggregate).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
 /// Exact per-span duration percentiles (nearest-rank over every
 /// recorded duration — not an approximation sketch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,70 +210,6 @@ pub fn nearest_rank(sorted: &[u64], pct: u64) -> u64 {
     debug_assert!(!sorted.is_empty() && (1..=100).contains(&pct));
     let rank = (pct * sorted.len() as u64).div_ceil(100).max(1) as usize;
     sorted[rank.min(sorted.len()) - 1]
-}
-
-/// Aggregates spans per name in memory — the backing store for the
-/// `--metrics` summary table. Every duration is retained, so the
-/// percentile view is exact. Counter/gauge values live in the global
-/// registry, so this collector only tracks spans and events.
-#[derive(Debug, Default)]
-pub struct MemoryCollector {
-    spans: Mutex<BTreeMap<String, SpanStats>>,
-    events: Mutex<Vec<EventRecord>>,
-}
-
-/// Per-name running aggregate plus the raw durations behind it.
-#[derive(Debug)]
-struct SpanStats {
-    agg: SpanAggregate,
-    durations: Vec<u64>,
-}
-
-impl MemoryCollector {
-    /// New, empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Per-name aggregates, sorted by name.
-    pub fn span_aggregates(&self) -> Vec<(String, SpanAggregate)> {
-        self.spans.lock().unwrap().iter().map(|(k, v)| (k.clone(), v.agg)).collect()
-    }
-
-    /// Exact per-name duration percentiles (p50/p95/p99, nearest-rank),
-    /// sorted by name. Pairs index-for-index with [`span_aggregates`]
-    /// taken under the same collector.
-    ///
-    /// [`span_aggregates`]: MemoryCollector::span_aggregates
-    pub fn span_percentiles(&self) -> Vec<(String, SpanPercentiles)> {
-        self.spans
-            .lock()
-            .unwrap()
-            .iter()
-            .filter_map(|(k, v)| SpanPercentiles::of(&v.durations).map(|p| (k.clone(), p)))
-            .collect()
-    }
-
-    /// Every event seen, in arrival order.
-    pub fn events(&self) -> Vec<EventRecord> {
-        self.events.lock().unwrap().clone()
-    }
-}
-
-impl Collector for MemoryCollector {
-    fn span(&self, record: &SpanRecord) {
-        let mut spans = self.spans.lock().unwrap();
-        let stats = spans.entry(record.name.to_string()).or_insert_with(|| SpanStats {
-            agg: SpanAggregate { count: 0, total_ns: 0, min_ns: u64::MAX, max_ns: 0 },
-            durations: Vec::new(),
-        });
-        stats.agg.absorb(record.dur_ns);
-        stats.durations.push(record.dur_ns);
-    }
-
-    fn event(&self, record: &EventRecord) {
-        self.events.lock().unwrap().push(record.clone());
-    }
 }
 
 /// Writes one JSON object per record — the `--trace-out` format.
@@ -378,7 +303,7 @@ impl Collector for JsonlCollector {
 }
 
 /// Fans every record out to several collectors — e.g. stderr events
-/// plus a JSONL trace plus an in-memory metrics aggregate.
+/// plus a JSONL trace plus the `--metrics` summary.
 pub struct Fanout {
     sinks: Vec<Arc<dyn Collector>>,
 }
@@ -782,19 +707,29 @@ mod tests {
         TEST_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// Keeps every closed span, in arrival order.
+    #[derive(Default)]
+    struct CaptureSpans(Mutex<Vec<SpanRecord>>);
+
+    impl Collector for CaptureSpans {
+        fn span(&self, r: &SpanRecord) {
+            self.0.lock().unwrap().push(r.clone());
+        }
+    }
+
     #[test]
     fn disabled_spans_are_inert() {
         let _guard = exclusive();
         reset();
-        let mem = Arc::new(MemoryCollector::new());
+        let cap = Arc::new(CaptureSpans::default());
         // Collector installed but recording off: spans must not reach it.
-        install(mem.clone(), false);
+        install(cap.clone(), false);
         {
             let _s = span("test.noop");
             let _t = span_with("test.noop2", || panic!("detail closure must not run"));
         }
         counter("test.noop.count").add(5);
-        assert!(mem.span_aggregates().is_empty());
+        assert!(cap.0.lock().unwrap().is_empty());
         assert_eq!(counter("test.noop.count").get(), 0);
         reset();
     }
@@ -803,14 +738,6 @@ mod tests {
     fn span_nesting_tracks_parents_per_thread() {
         let _guard = exclusive();
         reset();
-
-        #[derive(Default)]
-        struct CaptureSpans(Mutex<Vec<SpanRecord>>);
-        impl Collector for CaptureSpans {
-            fn span(&self, r: &SpanRecord) {
-                self.0.lock().unwrap().push(r.clone());
-            }
-        }
 
         let cap = Arc::new(CaptureSpans::default());
         install(cap.clone(), true);
@@ -852,16 +779,18 @@ mod tests {
     fn record_span_carries_caller_measured_duration() {
         let _guard = exclusive();
         reset();
-        let mem = Arc::new(MemoryCollector::new());
-        install(mem.clone(), true);
+        let cap = Arc::new(CaptureSpans::default());
+        install(cap.clone(), true);
         record_span("test.manual", Some("job 1".into()), Duration::from_micros(1500));
         reset();
         // Recording off again: a no-op, like the guard API.
         record_span("test.manual", None, Duration::from_micros(9));
-        let aggs = mem.span_aggregates();
-        let (_, agg) = aggs.iter().find(|(n, _)| n == "test.manual").unwrap();
-        assert_eq!(agg.count, 1);
-        assert_eq!(agg.total_ns, 1_500_000);
+        let spans = cap.0.lock().unwrap();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].name, "test.manual");
+        assert_eq!(spans[0].detail.as_deref(), Some("job 1"));
+        assert_eq!(spans[0].parent, None);
+        assert_eq!(spans[0].dur_ns, 1_500_000);
     }
 
     #[test]
@@ -930,55 +859,13 @@ mod tests {
     }
 
     #[test]
-    fn memory_collector_aggregates_by_name() {
-        let _guard = exclusive();
-        reset();
-        let mem = Arc::new(MemoryCollector::new());
-        install(mem.clone(), true);
-        for _ in 0..4 {
-            let _s = span("test.agg");
-        }
-        info("test.aggline", "hello".to_string());
-        reset();
-        let aggs = mem.span_aggregates();
-        let (_, agg) = aggs.iter().find(|(n, _)| n == "test.agg").unwrap();
-        assert_eq!(agg.count, 4);
-        assert!(agg.min_ns <= agg.mean_ns() && agg.mean_ns() <= agg.max_ns);
-        let events = mem.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].level, Level::Info);
-        assert_eq!(events[0].message, "hello");
-    }
-
-    #[test]
-    fn memory_collector_percentiles_are_exact() {
-        let _guard = exclusive();
-        reset();
-        let mem = Arc::new(MemoryCollector::new());
-        // Feed durations directly (synthetic records) so the expected
-        // percentiles are known exactly: 1..=100 µs.
-        for us in 1..=100u64 {
-            mem.span(&SpanRecord {
-                name: "test.pct",
-                detail: None,
-                id: us,
-                parent: None,
-                thread: 0,
-                start_us: 0,
-                dur_ns: us * 1_000,
-            });
-        }
-        let pcts = mem.span_percentiles();
-        let (_, p) = pcts.iter().find(|(n, _)| n == "test.pct").unwrap();
+    fn span_percentiles_are_exact() {
+        // Durations 1..=100 µs, shuffled: the percentiles are known exactly.
+        let durations: Vec<u64> = (1..=100u64).map(|us| (us * 37 % 101) * 1_000).collect();
+        let p = SpanPercentiles::of(&durations).unwrap();
         assert_eq!(p.p50_ns, 50_000);
         assert_eq!(p.p95_ns, 95_000);
         assert_eq!(p.p99_ns, 99_000);
-        // Percentile rows pair with aggregate rows name-for-name.
-        let aggs = mem.span_aggregates();
-        assert_eq!(
-            aggs.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-            pcts.iter().map(|(n, _)| n).collect::<Vec<_>>()
-        );
         // Nearest-rank is exact, never interpolated: p50 of [1, 3] is 1.
         assert_eq!(SpanPercentiles::of(&[3, 1]).unwrap().p50_ns, 1);
         assert_eq!(SpanPercentiles::of(&[]), None);

@@ -15,6 +15,7 @@ use hmpt_fleet::{
     run_matrix, run_matrix_sharded, run_matrix_with_cache, store, Fleet, FleetConfig, MatrixConfig,
     MatrixReport, MeasurementCache, ScenarioMatrix, ShardReport, TuningJob,
 };
+use hmpt_repro::alloc::plan::PlacementPlan;
 use hmpt_repro::core::campaign::RepPolicy;
 use hmpt_repro::core::driver::{Analysis, Driver};
 use hmpt_repro::core::exec::ExecutorKind;
@@ -25,6 +26,7 @@ use hmpt_repro::sim::stream::Direction;
 use hmpt_repro::sim::units::gib;
 use hmpt_repro::sim::zoo::{Axis, Preset, Zoo, ZooEntry};
 use hmpt_repro::workloads::model::{Phase, StreamSpec, WorkloadSpec};
+use hmpt_repro::workloads::runner::{run_once, RunConfig};
 use proptest::prelude::*;
 
 /// A random small workload (same generator family as
@@ -430,7 +432,8 @@ proptest! {
         // Plant another seed's profile under the job's key.
         let driver = Driver::new(machine.clone());
         let key = (machine.fingerprint(), spec.fingerprint(), driver.profile_config().fingerprint());
-        let wrong = driver.with_profile_seed(8).profile(&spec).unwrap();
+        let wrong =
+            run_once(&machine, &spec, &PlacementPlan::default(), &RunConfig::profiling(8)).unwrap();
         prop_assert!(wrong.time_s != fresh.profile.time_s);
         shared.profile_or_run(key, || Ok(wrong.clone())).unwrap();
         let ignored = Fleet::with_cache(uncached, Arc::clone(&shared)).run_job(&job).unwrap().analysis;
