@@ -60,7 +60,7 @@
 
 use std::collections::hash_map;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use hmpt_sim::fingerprint::{Fingerprint, WordMap};
 use hmpt_workloads::runner::RunOutcome;
@@ -142,7 +142,7 @@ pub(crate) struct BatchLookup {
 /// A point on a cache's use-clock ([`MeasurementCache::mark`]); the
 /// cells inserted after it are [`MeasurementCache::added_since`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Mark(u64);
+pub(crate) struct Mark(u64);
 
 /// The `cache.hit` and `cache.miss` counter handles, resolved once per
 /// process: looking a counter up takes the metrics-registry lock, which
@@ -160,8 +160,9 @@ pub struct MeasurementCache {
     misses: AtomicU64,
     /// Monotonic use-clock behind the per-entry recency stamps.
     clock: AtomicU64,
-    /// The profile memo ([`Self::profile_or_run`]).
-    profiles: Mutex<WordMap<ProfileKey, RunOutcome>>,
+    /// The profile memo ([`Self::profile_or_run`]): a slot per key,
+    /// empty until a run of the key succeeds.
+    profiles: Mutex<WordMap<ProfileKey, Arc<Mutex<Option<RunOutcome>>>>>,
 }
 
 impl MeasurementCache {
@@ -295,26 +296,37 @@ impl MeasurementCache {
 
     /// The profiling run `key` names: the memoized outcome if the memo
     /// holds it, else `run`'s, memoized when it succeeds. Each call
-    /// counts one `profile.memo.hit` or `profile.memo.miss`. Two callers
-    /// racing on a key may both run it; a profile is seed-deterministic,
-    /// so both store the identical outcome.
+    /// counts one `profile.memo.hit` or `profile.memo.miss`. A consult
+    /// waits for a run of its key that another consult has in flight, so
+    /// each key runs once per memo; after a failed run, the next consult
+    /// runs it itself.
     pub fn profile_or_run<F>(&self, key: ProfileKey, run: F) -> Result<RunOutcome, TunerError>
     where
         F: FnOnce() -> Result<RunOutcome, TunerError>,
     {
-        if let Some(hit) = self.profiles.lock().expect("profile memo poisoned").get(&key) {
+        let slot = Arc::clone(
+            self.profiles.lock().expect("profile memo poisoned").entry(key).or_default(),
+        );
+        // A run that panicked left the slot empty, so a poisoned slot
+        // still holds a valid state.
+        let mut held = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = held.as_ref() {
             hmpt_obs::counter("profile.memo.hit").incr();
             return Ok(hit.clone());
         }
         hmpt_obs::counter("profile.memo.miss").incr();
         let outcome = run()?;
-        self.profiles.lock().expect("profile memo poisoned").insert(key, outcome.clone());
+        *held = Some(outcome.clone());
         Ok(outcome)
     }
 
     /// How many profiling runs the memo holds.
     pub fn memoized_profiles(&self) -> usize {
-        self.profiles.lock().expect("profile memo poisoned").len()
+        let profiles = self.profiles.lock().expect("profile memo poisoned");
+        profiles
+            .values()
+            .filter(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).is_some())
+            .count()
     }
 
     /// Peek without measuring (still counts as a use for recency).
@@ -365,13 +377,16 @@ impl MeasurementCache {
     /// The current point on the use-clock. Every key inserted after this
     /// call is in [`Self::added_since`] of the mark; a key inserted
     /// concurrently with the call may or may not be.
-    pub fn mark(&self) -> Mark {
+    pub(crate) fn mark(&self) -> Mark {
         Mark(self.clock.load(Ordering::Relaxed))
     }
 
     /// The entries whose keys entered the cache at or after `mark`,
-    /// sorted by key — the cells a journal has yet to write.
-    pub fn added_since(&self, mark: Mark) -> Vec<(CellKey, Result<CellOutcome, TunerError>)> {
+    /// sorted by key — the cells a cache file has yet to append.
+    pub(crate) fn added_since(
+        &self,
+        mark: Mark,
+    ) -> Vec<(CellKey, Result<CellOutcome, TunerError>)> {
         let mut added: Vec<_> = self
             .map
             .lock()
@@ -598,8 +613,66 @@ mod tests {
         (Fingerprint::from_raw(a), Fingerprint::from_raw(0), Fingerprint::from_raw(7))
     }
 
+    /// Serializes this module's profile-memo tests: the memo counters
+    /// are process-wide, and one test reads them while recording is on.
+    static MEMO_COUNTERS: Mutex<()> = Mutex::new(());
+
+    /// `threads` concurrent consults of one key, whose runs wait until
+    /// every thread has started its consult; the first run fails when
+    /// `fail_first`. Returns the runs, the consults answered `Ok`, and
+    /// the memo hits and misses counted.
+    fn consult_concurrently(threads: usize, fail_first: bool) -> (u64, usize, u64, u64) {
+        let memo = || {
+            let count = |name| hmpt_obs::counter(name).get();
+            (count("profile.memo.hit"), count("profile.memo.miss"))
+        };
+        let (cache, runs) = (&MeasurementCache::new(), &AtomicU64::new(0));
+        let gate = &(Mutex::new(false), std::sync::Condvar::new());
+        let (started, all_started) = std::sync::mpsc::channel();
+        let before = memo();
+        let oks = std::thread::scope(|s| {
+            let consults: Vec<_> = (0..threads)
+                .map(|_| {
+                    let started = started.clone();
+                    s.spawn(move || {
+                        started.send(()).unwrap();
+                        cache.profile_or_run(profile_key(1), || {
+                            let (open, opened) = gate;
+                            drop(opened.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
+                            match runs.fetch_add(1, Ordering::SeqCst) {
+                                0 if fail_first => Err(TunerError::EmptyWorkload),
+                                _ => Ok(profile(2.5)),
+                            }
+                        })
+                    })
+                })
+                .collect();
+            for _ in 0..threads {
+                all_started.recv().unwrap();
+            }
+            *gate.0.lock().unwrap() = true;
+            gate.1.notify_all();
+            consults.into_iter().filter_map(|c| c.join().unwrap().ok()).count()
+        });
+        let after = memo();
+        (runs.load(Ordering::SeqCst), oks, after.0 - before.0, after.1 - before.1)
+    }
+
+    #[test]
+    fn concurrent_consults_of_one_key_run_its_profile_once() {
+        let _memo = MEMO_COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+        hmpt_obs::install(Arc::new(hmpt_obs::NoopCollector), true);
+        let once = consult_concurrently(4, false);
+        let failed_first = consult_concurrently(4, true);
+        hmpt_obs::reset();
+        assert_eq!(once, (1, 4, 3, 1), "(runs, ok consults, hits, misses)");
+        // A failed run is not memoized: the next consult runs it itself.
+        assert_eq!(failed_first, (2, 3, 2, 2), "(runs, ok consults, hits, misses)");
+    }
+
     #[test]
     fn a_memoized_profile_runs_once_and_stays_out_of_the_cells() {
+        let _memo = MEMO_COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
         let cache = MeasurementCache::new();
         cache.insert(key(1, 0, 0, 0), cell(1.0));
         let mark = cache.mark();
@@ -625,6 +698,7 @@ mod tests {
 
     #[test]
     fn a_failed_profile_is_not_memoized() {
+        let _memo = MEMO_COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
         let cache = MeasurementCache::new();
         let err = cache.profile_or_run(profile_key(1), || Err(TunerError::EmptyWorkload));
         assert!(matches!(err, Err(TunerError::EmptyWorkload)));
@@ -635,6 +709,7 @@ mod tests {
 
     #[test]
     fn an_evicting_compaction_drops_the_profile_memo() {
+        let _memo = MEMO_COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
         let cache = MeasurementCache::new();
         for i in 0..4 {
             cache.insert(key(i, 0, 0, 0), cell(i as f64));

@@ -6,18 +6,20 @@
 //! construction: nothing in a cached cell refers to live objects. This
 //! module gives the cache a durable form, which is what lets fleet
 //! batches, scenario matrices, and CI runs warm-start instead of
-//! re-simulating from cold. [`preload`] is the warm start the fleet, the
-//! request API and the campaign service share, [`write_atomic`] is the
-//! temp-file + rename that snapshots, the service's queue snapshot and
-//! reports, and the campaign warehouse's payloads are written through,
-//! and the line log ([`append_line`], [`read_lines`]) journals the
+//! re-simulating from cold. [`CacheFile`] owns a cache's snapshot file
+//! for the fleet, the request API and the campaign service: it preloads
+//! the cache ([`preload`]) and keeps the file up to date. [`write_atomic`]
+//! is the temp-file + rename that snapshots, the service's reports, and
+//! the campaign warehouse's payloads are written through, and the line
+//! log ([`append_line`], [`write_lines`], [`read_lines`]) holds the
 //! service's queue and the warehouse index.
 //!
 //! ## Snapshot format (version 1)
 //!
 //! A snapshot is a 32-byte header followed by fixed-size 64-byte
-//! records, **sorted by cell key** (snapshot bytes are a deterministic
-//! function of cache content):
+//! records. A rewrite ([`save`]) sorts them **by cell key**, so its bytes
+//! are a deterministic function of cache content; appends follow it
+//! unsorted until the next rewrite:
 //!
 //! ```text
 //! header   magic               8 B   b"HMPTCELL"
@@ -56,32 +58,32 @@
 //! record stream cannot be trusted at all. Callers treat a discarded
 //! snapshot as a cold start.
 //!
-//! ## Journal
+//! ## Appends
 //!
 //! A long-lived cache that grows a little at a time need not rewrite
 //! its whole snapshot for every few new cells. [`append`] writes them
-//! to a *journal* instead: a file in the snapshot format whose header
-//! declares 0 records, followed by records that are **appended, not
-//! sorted** — each append adds its cells after the previous ones. A
-//! declared count of 0 is never "fewer than declared", so [`load_into`]
-//! and [`preload`] read a journal unchanged, with the same tolerance: a
-//! torn last append loses only the records it did not finish, and a
-//! flipped byte skips one record. A *fold* rewrites the snapshot from
-//! the whole cache ([`save`]) and then deletes the journal; the owner
-//! folds when the journal would outgrow the snapshot, and whenever it
-//! cannot trust the journal's tail.
+//! after the file's records instead, **unsorted**, in one write, and
+//! leaves the header's count as the last rewrite declared it (a file it
+//! creates declares 0). A load reads every record, past the declared
+//! count too, with the same tolerance: a torn last append loses only
+//! the records it did not finish, and a flipped byte skips one record.
+//! [`CacheFile`] appends while the appended records stay within the
+//! records of the last rewrite, and otherwise rewrites the file sorted:
+//! when the appends would outgrow it, after the size bound evicted a
+//! cell, after a failed append (whose torn tail nothing may follow),
+//! and when its preload did not read the file whole into an empty cache.
 //!
 //! ## Line logs
 //!
 //! Small JSON state — the campaign service's job queue, the campaign
-//! warehouse's index — is journaled as a *line log*: one record per
-//! line, `<checksum16> <json>`, the checksum a [`StableHasher`] over the
+//! warehouse's index — is kept as a *line log*: one record per line,
+//! `<checksum16> <json>`, the checksum a [`StableHasher`] over the
 //! compact JSON that follows. There is no header to corrupt.
 //! [`read_lines`] skips each line that fails its checksum or its decode
 //! and keeps every other one, so a torn tail or a flipped byte costs the
 //! one record it hits. [`append_line`] never continues a torn line: a
 //! log that does not end in a line break gets one first, so the new
-//! record starts a fresh line.
+//! record starts a fresh line. [`write_lines`] rewrites a log whole.
 //!
 //! ## Merging
 //!
@@ -94,14 +96,15 @@
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Seek, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use hmpt_alloc::error::AllocError;
 use hmpt_sim::fingerprint::{Fingerprint, StableHasher};
 use hmpt_sim::pool::PoolKind;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CellKey, MeasurementCache};
+use crate::cache::{CellKey, Mark, MeasurementCache};
 use crate::error::TunerError;
 use crate::measure::CellOutcome;
 
@@ -303,7 +306,8 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
 }
 
-/// The header of a file declaring `records` records (0 for a journal).
+/// The header of a file declaring `records` records (0 for a file
+/// [`append`] creates).
 fn header(records: u64) -> [u8; HEADER_LEN] {
     let mut out = [0u8; HEADER_LEN];
     out[..8].copy_from_slice(&MAGIC);
@@ -427,12 +431,12 @@ pub fn save(cache: &MeasurementCache, path: impl AsRef<Path>) -> Result<SaveRepo
     Ok(report)
 }
 
-/// Append `entries` to the journal at `path`, creating it (header
-/// first) if it does not exist, in one write. A journal that does not
-/// end on a record boundary is refused: a record appended after a torn
-/// tail would be misaligned, and so lost, with every record after it.
-/// A failed write can itself leave a torn tail, so after an error the
-/// caller must rewrite the snapshot instead of appending again.
+/// Append `entries` after the records of the snapshot at `path`,
+/// creating it (header first) if it does not exist, in one write. A
+/// file that does not end on a record boundary is refused: a record
+/// appended after a torn tail would be misaligned, and so lost, with
+/// every record after it. A failed write can itself leave a torn tail,
+/// so after an error the caller must rewrite the snapshot instead.
 pub fn append(
     path: impl AsRef<Path>,
     entries: &[(CellKey, Result<CellOutcome, TunerError>)],
@@ -443,7 +447,7 @@ pub fn append(
     if len > 0 && (len < header_len || !(len - header_len).is_multiple_of(RECORD_LEN as u64)) {
         return Err(StoreError::Io(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("journal of {len} bytes ends inside a record"),
+            format!("snapshot of {len} bytes ends inside a record"),
         )));
     }
     let mut bytes = Vec::with_capacity(HEADER_LEN + entries.len() * RECORD_LEN);
@@ -516,6 +520,18 @@ pub fn append_line<T: Serialize + ?Sized>(path: &Path, record: &T) -> io::Result
     file.write_all(text.as_bytes())
 }
 
+/// Rewrite the line log at `path` to hold exactly `records`, in order,
+/// atomically ([`write_atomic`]): the line-log counterpart of [`save`].
+/// Counted under `store.line_bytes_written`, like [`append_line`].
+pub fn write_lines<'a, T: Serialize + 'a>(
+    path: &Path,
+    records: impl IntoIterator<Item = &'a T>,
+) -> io::Result<()> {
+    let text: String = records.into_iter().map(|record| encode_line(record) + "\n").collect();
+    hmpt_obs::counter("store.line_bytes_written").add(text.len() as u64);
+    write_atomic(path, text.as_bytes())
+}
+
 /// Load a snapshot into an existing cache (preload / warm-start path;
 /// counters are untouched, last write wins on identical keys).
 pub fn load_into(
@@ -570,6 +586,101 @@ pub fn preload(
     }
 }
 
+/// The one owner of a cache's snapshot file, for the CLI's
+/// save-on-finish and the campaign service alike: [`Self::open`]
+/// preloads the file, [`Self::persist`] appends to it or rewrites it
+/// (see the module docs).
+#[derive(Debug)]
+pub struct CacheFile {
+    path: PathBuf,
+    /// The `hmpt_obs` target of its warnings.
+    target: &'static str,
+    /// What the file holds; `None` makes the next persist rewrite it.
+    held: Mutex<Option<Held>>,
+}
+
+/// The cells a [`CacheFile`] holds: those inserted before `mark`, `len`
+/// of them (the cache shrinks only when the size bound evicts, which
+/// rewrites), and the `room` left for appends: the records its last
+/// rewrite wrote, less those appended since.
+#[derive(Debug)]
+struct Held {
+    mark: Mark,
+    len: usize,
+    room: u64,
+}
+
+impl CacheFile {
+    /// Preload the snapshot at `path` into `cache` as [`preload`] does,
+    /// and return its owner and what the load recovered. Unless the file
+    /// was read whole into an empty cache, the first persist rewrites it.
+    pub fn open(
+        path: impl Into<PathBuf>,
+        cache: &MeasurementCache,
+        target: &'static str,
+        subject: &str,
+    ) -> (CacheFile, Option<LoadReport>) {
+        let path = path.into();
+        let was_empty = cache.is_empty();
+        let load = preload(cache, &path, target, subject);
+        let held = match load {
+            Some(report) if was_empty && report.is_clean() => declared(&path)
+                .ok()
+                .map(|declared| declared.saturating_sub(report.loaded.saturating_sub(declared))),
+            _ => None,
+        }
+        .map(|room| Held { mark: cache.mark(), len: cache.len(), room });
+        (CacheFile { path, target, held: Mutex::new(held) }, load)
+    }
+
+    /// Bring the file up to date with `cache`, evicted to `max_records`
+    /// first: append the cells added since the last write, or rewrite
+    /// the file sorted ([`save`]; see the module docs). `Ok(None)` when
+    /// the file already holds the cache, decided by its length alone.
+    pub fn persist(
+        &self,
+        cache: &MeasurementCache,
+        max_records: Option<u64>,
+    ) -> Result<Option<SaveReport>, StoreError> {
+        let mut held = self.held.lock().expect("cache file state poisoned");
+        if max_records.is_some_and(|max| cache.compact(max as usize) > 0) {
+            *held = None;
+        }
+        if let Some(h) = held.as_mut() {
+            match cache.len().checked_sub(h.len) {
+                Some(0) => return Ok(None),
+                Some(added) if added as u64 <= h.room => {
+                    let mark = cache.mark();
+                    match append(&self.path, &cache.added_since(h.mark)) {
+                        Ok(saved) => {
+                            *h = Held { mark, len: h.len + added, room: h.room - added as u64 };
+                            return Ok(Some(saved));
+                        }
+                        Err(e) => hmpt_obs::warn(
+                            self.target,
+                            format!("{}: append failed, rewriting: {e}", self.path.display()),
+                        ),
+                    }
+                }
+                _ => {}
+            }
+        }
+        *held = None;
+        let (mark, len) = (cache.mark(), cache.len());
+        let saved = save(cache, &self.path)?;
+        *held = Some(Held { mark, len, room: saved.saved });
+        Ok(Some(saved))
+    }
+}
+
+/// The record count the header of the snapshot at `path` declares: the
+/// records of its last rewrite, after which the rest were appended.
+fn declared(path: &Path) -> io::Result<u64> {
+    let mut header = [0u8; HEADER_LEN];
+    fs::File::open(path)?.read_exact(&mut header)?;
+    Ok(read_u64(&header, 16))
+}
+
 /// Load a snapshot into a fresh cache.
 pub fn load(path: impl AsRef<Path>) -> Result<(MeasurementCache, LoadReport), StoreError> {
     let cache = MeasurementCache::new();
@@ -613,8 +724,8 @@ pub struct CompactReport {
 ///
 /// A snapshot file carries no usage history, so file-level compaction
 /// keeps a deterministic subset: the load walks records in file order
-/// (key-sorted), the newest load stamp wins, so the *highest* keys
-/// survive. For genuinely least-recently-used eviction, bound the live
+/// (a rewrite's key order, then any appends), the newest load stamp
+/// wins, so the *last* records survive. For genuinely least-recently-used eviction, bound the live
 /// cache instead ([`MeasurementCache::compact`], or
 /// `cache.max_records` in a campaign spec) and let save-on-finish
 /// persist the swept cache — entries the run never touched age out.
@@ -948,6 +1059,64 @@ mod tests {
     }
 
     #[test]
+    fn a_cache_file_appends_within_its_last_rewrite_and_rewrites_past_it() {
+        let path = std::env::temp_dir().join(format!("hmpt-cache-file-{}.bin", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let cell = |i: u64| Ok(CellOutcome { time_s: i as f64, hbm_fraction: 0.5 });
+        let add = |cache: &MeasurementCache, keys: std::ops::Range<u64>| {
+            keys.for_each(|i| cache.insert(key(i, 0, 0, 0), cell(i)))
+        };
+        let saved = |n| Some(SaveReport { saved: n, skipped: 0 });
+        let cache = MeasurementCache::new();
+        let (file, load) = CacheFile::open(&path, &cache, "test", "snapshot");
+        assert_eq!(load, None);
+        add(&cache, 0..4);
+        assert_eq!(file.persist(&cache, None).unwrap(), saved(4));
+        let rewrite = std::fs::read(&path).unwrap();
+        assert_eq!(rewrite, to_bytes(&cache).0, "a rewrite is the sorted snapshot");
+        add(&cache, 4..7);
+        assert_eq!(
+            file.persist(&cache, None).unwrap(),
+            saved(3),
+            "three appends fit the rewrite's four"
+        );
+        let appended = std::fs::read(&path).unwrap();
+        assert_eq!(appended.len(), HEADER_LEN + 7 * RECORD_LEN);
+        assert!(appended.starts_with(&rewrite));
+        assert_eq!(file.persist(&cache, None).unwrap(), None, "the file holds the cache");
+
+        // A fresh owner finds three of the rewrite's four records
+        // appended, so room for one more.
+        let reopened = MeasurementCache::new();
+        let (file, load) = CacheFile::open(&path, &reopened, "test", "snapshot");
+        assert_eq!(load, Some(LoadReport { loaded: 7, skipped: 0, truncated: false }));
+        add(&reopened, 7..8);
+        assert_eq!(file.persist(&reopened, None).unwrap(), saved(1));
+        add(&reopened, 8..9);
+        assert_eq!(file.persist(&reopened, None).unwrap(), saved(9), "past the room: a rewrite");
+        assert_eq!(std::fs::read(&path).unwrap(), to_bytes(&reopened).0);
+
+        // A torn tail refuses the next append, which rewrites instead.
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
+        add(&reopened, 9..10);
+        assert_eq!(file.persist(&reopened, None).unwrap(), saved(10));
+        assert_eq!(std::fs::read(&path).unwrap(), to_bytes(&reopened).0);
+
+        // An eviction rewrites to the bound, whatever it adds.
+        assert_eq!(file.persist(&reopened, Some(6)).unwrap(), saved(6));
+        assert_eq!(load_into(&MeasurementCache::new(), &path).unwrap().loaded, 6);
+
+        // A preload into a cache that holds more than the file makes the
+        // first persist rewrite, with no cell added.
+        let other = MeasurementCache::new();
+        add(&other, 20..21);
+        let (file, _) = CacheFile::open(&path, &other, "test", "snapshot");
+        assert_eq!(file.persist(&other, None).unwrap(), saved(7));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn a_line_log_skips_damaged_lines_and_never_continues_a_torn_one() {
         let path = std::env::temp_dir().join(format!("hmpt-lines-{}.log", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -966,6 +1135,9 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         append_line(&path, &records[0]).unwrap();
         assert_eq!(read_lines(&path).unwrap(), (vec![records[1].clone(), records[0].clone()], 2));
+        // A rewrite holds exactly its records.
+        write_lines(&path, &records).unwrap();
+        assert_eq!(read_lines(&path).unwrap(), (records, 0));
         std::fs::remove_file(&path).unwrap();
     }
 

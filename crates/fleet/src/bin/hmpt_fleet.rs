@@ -89,9 +89,8 @@ fn usage() -> ! {
          options:\n\
          \x20 --job-workers N jobs/campaign groups run at once, each one's cells\n\
          \x20                 serially (default 0 = one per CPU)\n\
-         \x20 --serial        run a lone job's cells serially (the default)\n\
          \x20 --workers N     run a lone job's cells on a pool of N (0 = one per\n\
-         \x20                 CPU); a lone job is a one-job run or --job-workers 1\n\
+         \x20                 CPU), not serially; a lone job: one job, or --job-workers 1\n\
          \x20 --reps N        runs per configuration (default 3; --runs is an alias)\n\
          \x20 --ci-target X   adaptive repetitions: retire a configuration once its\n\
          \x20                 95% CI half-width falls to X of the mean (e.g. 0.02)\n\
@@ -99,15 +98,13 @@ fn usage() -> ! {
          \x20 --seed S        campaign base seed (default: paper default)\n\
          \x20 --machine M     batch platform as a zoo entry (default: xeon-max)\n\
          \x20 --no-cache      bypass the content-addressed measurement cache\n\
-         \x20 --fast-path     evaluate cells with the batched cold-path kernel\n\
-         \x20                 (the default; bit-identical to the naive pipeline)\n\
          \x20 --no-fast-path  force the naive per-cell pipeline (timing baselines)\n\
          \x20 --no-compare    skip the serial-vs-parallel comparison pass\n\
          \x20 --no-online     skip the online-tuner verification pass\n\
          \x20 --json PATH     write the JSON report to PATH (default: stdout)\n\
          \x20 --cache-file P  persistent measurement cache: load the snapshot on\n\
-         \x20                 start (if present), save it back on finish unless\n\
-         \x20                 the run left the snapshot's content unchanged\n\
+         \x20                 start (if present); on finish, append the run's new\n\
+         \x20                 cells or rewrite it (nothing when it added none)\n\
          \x20 --cache-max N   LRU-sweep the cache to N records at save time\n\
          \x20 --spec-out P    write the campaign spec this invocation denotes\n\
          \x20                 (TOML, or JSON for .json) and exit without running\n\
@@ -751,12 +748,13 @@ fn execute(spec: CampaignSpec, out: Option<String>) {
         Response::Merge(_) => unreachable!("specs never denote merges"),
     };
 
-    finish_telemetry(live);
+    // Before the flush, so the trace and --metrics carry the event.
     if let Some(path) = &telemetry.bench {
         std::fs::write(path, bench_jsonl(&bench))
             .unwrap_or_else(|e| fail(format!("cannot write bench file {path}: {e}")));
         hmpt_obs::info("fleet.status", format!("bench timings written to {path}"));
     }
+    finish_telemetry(live);
 }
 
 #[derive(Debug, Clone, Serialize)]

@@ -176,7 +176,6 @@ enum Sub {
 #[derive(Debug, Default)]
 struct Flags {
     workers: Option<usize>,
-    serial: bool,
     reps: Option<usize>,
     ci_target: Option<f64>,
     max_reps: Option<usize>,
@@ -193,7 +192,6 @@ struct Flags {
     matrix_out: Option<String>,
     job_workers: Option<usize>,
     no_verify: bool,
-    fast_path: bool,
     no_fast_path: bool,
     cache_file: Option<String>,
     cache_max: Option<u64>,
@@ -254,7 +252,6 @@ pub fn parse(args: Vec<String>) -> Result<Action, UsageError> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--workers" => flags.workers = Some(value("--workers", &mut it)?),
-            "--serial" => flags.serial = true,
             "--runs" | "--reps" => flags.reps = Some(value(&arg, &mut it)?),
             "--ci-target" => flags.ci_target = Some(value("--ci-target", &mut it)?),
             "--max-reps" => flags.max_reps = Some(value("--max-reps", &mut it)?),
@@ -296,7 +293,6 @@ pub fn parse(args: Vec<String>) -> Result<Action, UsageError> {
             "--matrix-out" => flags.matrix_out = Some(value("--matrix-out", &mut it)?),
             "--job-workers" => flags.job_workers = Some(value("--job-workers", &mut it)?),
             "--no-verify" => flags.no_verify = true,
-            "--fast-path" => flags.fast_path = true,
             "--no-fast-path" => flags.no_fast_path = true,
             "--cache-file" => flags.cache_file = Some(value("--cache-file", &mut it)?),
             "--cache-max" => flags.cache_max = Some(value("--cache-max", &mut it)?),
@@ -404,14 +400,13 @@ impl Flags {
     /// derives from. A new flag gets exactly one row here; there is no
     /// per-mode list to forget it in, so it can never be silently
     /// ignored in some mode.
-    fn classified(&self) -> [(&'static str, bool, &'static [Sub]); 54] {
+    fn classified(&self) -> [(&'static str, bool, &'static [Sub]); 52] {
         use Sub::{
             Batch, Cache, Cancel, Drain, Merge, Report, Run, Scenarios, Serve, Status, Submit,
             Trace,
         };
         [
             ("--workers", self.workers.is_some(), &[Batch, Scenarios, Serve]),
-            ("--serial", self.serial, &[Batch, Scenarios]),
             ("--reps", self.reps.is_some(), &[Batch, Scenarios]),
             ("--ci-target", self.ci_target.is_some(), &[Batch, Scenarios]),
             ("--max-reps", self.max_reps.is_some(), &[Batch, Scenarios]),
@@ -428,7 +423,6 @@ impl Flags {
             ("--matrix-out", self.matrix_out.is_some(), &[Scenarios, Merge]),
             ("--job-workers", self.job_workers.is_some(), &[Batch, Scenarios]),
             ("--no-verify", self.no_verify, &[Scenarios]),
-            ("--fast-path", self.fast_path, &[Batch, Scenarios]),
             ("--no-fast-path", self.no_fast_path, &[Batch, Scenarios]),
             ("--cache-file", self.cache_file.is_some(), &[Batch, Scenarios, Run]),
             ("--cache-max", self.cache_max.is_some(), &[Batch, Scenarios, Serve]),
@@ -490,9 +484,6 @@ fn common_sections(flags: &Flags, spec: &mut CampaignSpec) -> Result<(), UsageEr
     if flags.max_reps.is_some() && flags.ci_target.is_none() {
         return Err(usage_err("--max-reps only applies with --ci-target"));
     }
-    if flags.fast_path && flags.no_fast_path {
-        return Err(usage_err("--fast-path conflicts with --no-fast-path"));
-    }
     if flags.ci_target.is_some() && flags.policies.is_some() {
         return Err(usage_err("--ci-target conflicts with --policies (spell it ci:T[:M])"));
     }
@@ -524,18 +515,6 @@ fn common_sections(flags: &Flags, spec: &mut CampaignSpec) -> Result<(), UsageEr
         spec.workloads = Some(flags.positionals.clone());
     }
     Ok(())
-}
-
-/// The `[execution] fast_path` value the kernel flags denote: `None`
-/// when neither flag is given (spec default applies, i.e. on).
-fn fast_path_override(flags: &Flags) -> Option<bool> {
-    if flags.no_fast_path {
-        Some(false)
-    } else if flags.fast_path {
-        Some(true)
-    } else {
-        None
-    }
 }
 
 fn split_csv(csv: &str) -> Vec<String> {
@@ -572,13 +551,12 @@ fn batch_action(flags: Flags) -> Result<Action, UsageError> {
     common_sections(&flags, &mut spec)?;
     spec.machine = flags.machine.clone();
     let exec = ExecutionSection {
-        serial: flags.serial.then_some(true),
         workers: flags.workers,
         job_workers: flags.job_workers,
         compare: flags.no_compare.then_some(false),
         online: flags.no_online.then_some(false),
-        verify: None,
-        fast_path: fast_path_override(&flags),
+        fast_path: flags.no_fast_path.then_some(false),
+        ..ExecutionSection::default()
     };
     if exec != ExecutionSection::default() {
         spec.execution = Some(exec);
@@ -620,13 +598,11 @@ fn scenarios_action(flags: Flags) -> Result<Action, UsageError> {
         .transpose()?;
     spec.shard = flags.shard.clone();
     let exec = ExecutionSection {
-        serial: flags.serial.then_some(true),
         workers: flags.workers,
         job_workers: flags.job_workers,
-        compare: None,
-        online: None,
         verify: flags.no_verify.then_some(false),
-        fast_path: fast_path_override(&flags),
+        fast_path: flags.no_fast_path.then_some(false),
+        ..ExecutionSection::default()
     };
     if exec != ExecutionSection::default() {
         spec.execution = Some(exec);
@@ -1027,7 +1003,7 @@ mod tests {
     #[test]
     fn kernel_flags_compile_to_the_execution_section() {
         assert_eq!(spec_of("--no-fast-path").execution.unwrap().fast_path, Some(false));
-        assert_eq!(spec_of("scenarios --fast-path").execution.unwrap().fast_path, Some(true));
+        assert_eq!(spec_of("scenarios --no-fast-path").execution.unwrap().fast_path, Some(false));
         assert_eq!(spec_of("").execution, None, "the default stays implicit");
     }
 
@@ -1172,8 +1148,9 @@ mod tests {
             "scenarios --shard 0/2",                       // malformed shard
             "--no-cache --cache-file c.bin",               // conflict
             "--no-cache --cache-max 10",                   // conflict
-            "--fast-path --no-fast-path",                  // conflict
-            "merge a.json --fast-path",                    // run flag in merge mode
+            "--serial",                                    // not a flag: serial is the default
+            "scenarios --fast-path",                       // not a flag: the kernel is the default
+            "merge a.json --no-fast-path",                 // run flag in merge mode
             "merge a.json --reps 3",                       // run flag in merge mode
             "merge a.json --cache-in a.bin",               // dangling: needs --cache-out
             "merge",                                       // no shard files
@@ -1235,10 +1212,10 @@ mod tests {
         for cmdline in [
             "",
             "mg is --reps 2 --seed 5 --no-compare --no-online",
-            "--serial --ci-target 0.02 --max-reps 4",
+            "--ci-target 0.02 --max-reps 4",
             "--no-fast-path",
             "scenarios",
-            "scenarios --fast-path",
+            "scenarios --no-fast-path",
             "scenarios mg --zoo xeon-max --budgets none --policies fixed:2,ci:0.05 --noise 0.01",
             "scenarios --shard 1/3",
         ] {

@@ -24,10 +24,9 @@
 //! while proving exhaustive and online tuning agree.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use hmpt_core::cache::Mark;
 use hmpt_core::campaign::{CampaignPlan, RepPolicy};
 use hmpt_core::driver::{Analysis, Driver};
 use hmpt_core::error::TunerError;
@@ -35,7 +34,7 @@ use hmpt_core::exec::{available_workers, CachingExecutor, CellExecutor, Executor
 use hmpt_core::grouping::{group, GroupingConfig};
 use hmpt_core::measure::CampaignConfig;
 use hmpt_core::online::{self, OnlineConfig, OnlineResult};
-use hmpt_core::store::{self, SaveReport, StoreError};
+use hmpt_core::store::{CacheFile, SaveReport, StoreError};
 use hmpt_sim::machine::{xeon_max_9468, Machine};
 use hmpt_workloads::model::WorkloadSpec;
 
@@ -75,13 +74,13 @@ pub struct FleetConfig {
     /// lookups at any width. Which job pays the miss for a cell that
     /// two concurrent jobs share depends on their timing.
     pub job_workers: usize,
-    /// On-disk cache snapshot ([`hmpt_core::store`]): loaded into the
-    /// shared cache when the fleet is built (a missing or unusable
-    /// snapshot is a cold start, not an error) and re-saved when a run
-    /// that changed the cache ends — so fleet runs
-    /// warm-start across process restarts. Ignored while
-    /// `cache_enabled` is off (an empty cache must not clobber a good
-    /// snapshot).
+    /// On-disk cache snapshot, owned by a [`CacheFile`]: loaded into
+    /// the shared cache when the fleet is built (a missing or unusable
+    /// snapshot is a cold start, not an error) and brought up to date
+    /// when a run that changed the cache ends — its new cells appended,
+    /// or the file rewritten sorted — so fleet runs warm-start across
+    /// process restarts. Ignored while `cache_enabled` is off (an empty
+    /// cache must not clobber a good snapshot).
     pub cache_path: Option<PathBuf>,
     /// Bound on the shared cache applied at persist time: before
     /// save-on-finish, least-recently-used entries beyond this count
@@ -242,9 +241,8 @@ pub struct Fleet {
     cache: Arc<MeasurementCache>,
     /// Cells preloaded from the configured snapshot at construction.
     preloaded: u64,
-    /// While the snapshot file holds exactly the cells inserted before
-    /// this mark: set by a clean preload and by each save.
-    synced: Mutex<Option<Mark>>,
+    /// The snapshot at [`FleetConfig::cache_path`], while caching is on.
+    file: Option<CacheFile>,
 }
 
 impl Default for Fleet {
@@ -266,17 +264,15 @@ impl Fleet {
     /// semantics, header damage) is reported and treated as a cold
     /// start.
     pub fn with_cache(cfg: FleetConfig, cache: Arc<MeasurementCache>) -> Self {
-        let was_empty = cache.is_empty();
-        let load = match cfg.cache_path.as_ref() {
+        let (file, load) = match cfg.cache_path.as_ref() {
             Some(path) if cfg.cache_enabled => {
-                store::preload(&cache, path, "fleet.cache", "hmpt-fleet: cache snapshot")
+                let (file, load) =
+                    CacheFile::open(path, &cache, "fleet.cache", "hmpt-fleet: cache snapshot");
+                (Some(file), load)
             }
-            _ => None,
+            _ => (None, None),
         };
-        // The file holds the whole cache only if it was read whole into
-        // a cache that held nothing else.
-        let synced = Mutex::new(load.filter(|r| was_empty && r.is_clean()).map(|_| cache.mark()));
-        Fleet { cfg, cache, preloaded: load.map_or(0, |r| r.loaded), synced }
+        Fleet { cfg, cache, preloaded: load.map_or(0, |r| r.loaded), file }
     }
 
     pub fn config(&self) -> &FleetConfig {
@@ -292,27 +288,17 @@ impl Fleet {
         self.preloaded
     }
 
-    /// Save the shared cache to [`FleetConfig::cache_path`] (atomic
-    /// temp-file + rename). `Ok(None)` when no path is configured,
-    /// caching is off, or the file already holds the cache: the preload
-    /// or the last save read or wrote it whole, and since then no cell
-    /// was added and the size bound evicted none. [`Self::run`] calls
-    /// this when a batch ends — save-on-finish — and the matrix path
-    /// (`api::execute`) after a checked matrix run over the fleet's
-    /// cache.
+    /// Bring the snapshot at [`FleetConfig::cache_path`] up to date
+    /// with the shared cache, swept to [`FleetConfig::cache_max_records`]
+    /// first ([`CacheFile::persist`]). `Ok(None)` when no path is
+    /// configured, caching is off, or the file already holds the cache.
+    /// [`Self::run`] calls this when a batch ends — save-on-finish — and
+    /// the matrix path (`api::execute`) after a checked matrix run.
     pub fn persist(&self) -> Result<Option<SaveReport>, StoreError> {
-        let Some(path) = self.cfg.cache_path.as_ref().filter(|_| self.cfg.cache_enabled) else {
-            return Ok(None);
-        };
-        let mut synced = self.synced.lock().expect("snapshot mark poisoned");
-        let evicted = self.cfg.cache_max_records.map_or(0, |max| self.cache.compact(max as usize));
-        if evicted == 0 && synced.is_some_and(|mark| self.cache.added_since(mark).is_empty()) {
-            return Ok(None);
+        match &self.file {
+            Some(file) => file.persist(&self.cache, self.cfg.cache_max_records),
+            None => Ok(None),
         }
-        let mark = self.cache.mark();
-        let saved = store::save(&self.cache, path);
-        *synced = saved.is_ok().then_some(mark);
-        saved.map(Some)
     }
 
     /// Run one job through the shared pool and cache.
@@ -665,7 +651,7 @@ mod tests {
         });
         let report = fleet.run(&[mg_job()]).unwrap();
         assert!(report.stats.cache.misses > 5, "the campaign outgrows the cap");
-        let (_, load) = store::load(&path).unwrap();
+        let (_, load) = hmpt_core::store::load(&path).unwrap();
         assert_eq!(load.loaded, 5, "save-on-finish swept the cache to the cap");
         std::fs::remove_file(&path).unwrap();
     }

@@ -5,10 +5,8 @@
 //!
 //! ```text
 //! <state-dir>/
-//!   queue.json          # QueueSnapshot — every job admitted, as of the last fold
-//!   queue.log           # journal: one JobRecord line per job state change since
-//!   cache.bin           # the shared MeasurementCache snapshot
-//!   cache.log           # journal: cells added since cache.bin was written
+//!   queue.log           # the job queue: one JobRecord line per state change
+//!   cache.bin           # the shared MeasurementCache: a snapshot, then appended cells
 //!   reports/job-<id>.json   # the MatrixReport of each completed job
 //! ```
 //!
@@ -16,28 +14,34 @@
 //! instant loses at most the frame being processed; [`Coordinator::open`]
 //! reloads the state and re-queues whatever was mid-flight (the state
 //! machine's adopt edge). The reports are written whole through
-//! [`store::write_atomic`]. Both state files are a snapshot plus a
-//! journal, so a verb's persist costs its own change, not the whole
-//! state:
+//! [`store::write_atomic`]. Each state file takes its own appends, so a
+//! verb's persist costs its own change, not the whole state:
 //!
 //! * each queue mutation appends the job's changed record to
 //!   `queue.log`, a store line log ([`store::append_line`]); a served
-//!   job appends four (`Queued`, `Running`, `Merging`, `Completed`);
-//! * the cells a job adds are appended to `cache.log`
-//!   ([`store::append`]), and a job that adds none writes nothing.
+//!   job appends four (`Queued`, `Running`, `Merging`, `Completed`).
+//!   Once the records appended since the log's last rewrite reach the
+//!   jobs that rewrite wrote, and after a failed append, the next change
+//!   rewrites the log instead, one record per job
+//!   ([`store::write_lines`]);
+//! * `cache.bin` is a [`CacheFile`]: the cells a job adds are appended
+//!   to it or the file is rewritten sorted (see [`store`]), and a job
+//!   that adds none writes nothing.
 //!
-//! `open` loads each snapshot, replays its journal over it (the last
-//! record of each job wins, a damaged record is skipped), adopts, and
-//! then folds. The coordinator *folds* a journal — rewrites the
-//! snapshot through [`store::write_atomic`], then deletes the journal —
-//! when the journal would outnumber its snapshot (records against
-//! `queue.json`'s jobs, cells against `cache.bin`'s), after a failed
-//! append (whose torn tail nothing may follow), when `open` found a
-//! journal, and at drain; the cache also folds when the LRU bound
-//! evicted a cell, so no evicted cell survives in the log. Neither
-//! writer calls fsync: the files survive a process crash, not a power
-//! loss. An unreadable `queue.json` or `queue.log` is renamed aside to
-//! `<name>.corrupt.N`, never overwritten.
+//! `open` replays `queue.log` over an empty queue (the last record of
+//! each job wins, a damaged record is skipped), adopts, and preloads
+//! `cache.bin`. It writes nothing, and neither does a drain: each file
+//! is complete after every verb, and no append continues a torn tail.
+//! Neither writer calls fsync: the files survive a process crash, not a
+//! power loss. A `queue.log` that cannot be read is renamed aside to
+//! `queue.log.corrupt.N`, never overwritten.
+//!
+//! An older state dir holds each state as a snapshot plus a journal:
+//! `queue.json` with `queue.log`, and `cache.bin` with `cache.log`.
+//! `open` adopts it: it reads both pairs as before (an unreadable
+//! `queue.json` is renamed aside too), rewrites `queue.log` and brings
+//! `cache.bin` up to date, and then removes `queue.json` and
+//! `cache.log`.
 //!
 //! The shared cache is the service's reason to exist as a *daemon*
 //! rather than a loop around `hmpt-fleet run`: each job is one
@@ -56,10 +60,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hmpt_core::cache::{Mark, MeasurementCache};
+use hmpt_core::cache::MeasurementCache;
 use hmpt_core::exec::{available_workers, ExecutorKind};
 use hmpt_core::scenario::MatrixReport;
-use hmpt_core::store;
+use hmpt_core::store::{self, CacheFile};
 use hmpt_fleet::api;
 use hmpt_fleet::matrix::MatrixConfig;
 use hmpt_fleet::service::Fleet;
@@ -70,11 +74,12 @@ use crate::queue::{JobQueue, QueueConfig, QueueError, QueueSnapshot};
 use crate::state::{JobRecord, JobState, JobStats};
 use crate::wire::{ErrorKind, StatusView};
 
-/// The queue's and the shared cache's snapshots and journals, in the
-/// state dir.
-const QUEUE_JSON: &str = "queue.json";
+/// The queue's and the shared cache's files in the state dir.
 const QUEUE_LOG: &str = "queue.log";
 const CACHE_BIN: &str = "cache.bin";
+/// An older state dir's queue snapshot and cache journal, adopted and
+/// removed by `open`.
+const QUEUE_JSON: &str = "queue.json";
 const CACHE_LOG: &str = "cache.log";
 
 /// How the daemon is shaped. `workers` is how many campaign groups a
@@ -92,7 +97,7 @@ pub struct CoordinatorConfig {
     /// Max live (queued + mid-flight) jobs per tenant.
     pub tenant_quota: usize,
     /// LRU bound applied to the shared cache after each job; a job that
-    /// evicts folds the journal into a rewritten `cache.bin`.
+    /// evicts rewrites `cache.bin`.
     pub cache_max_records: Option<u64>,
 }
 
@@ -188,40 +193,14 @@ impl From<QueueError> for ServeError {
 
 struct Inner {
     queue: JobQueue,
-    /// What of `queue` is on disk.
-    queue_files: QueueFiles,
+    /// Records `queue.log` may still take by appends before it is
+    /// rewritten: the jobs its last rewrite wrote, less the records
+    /// appended since.
+    log_room: u64,
     draining: bool,
     /// Submission instants for the `serve.queue_wait` span; in-memory
     /// only — an adopted job's wait clock restarts at reopen.
     enqueued_at: BTreeMap<u64, Instant>,
-}
-
-/// What of the queue is on disk, in `queue.json` and `queue.log`.
-struct QueueFiles {
-    /// Jobs in `queue.json`, and records in `queue.log`.
-    snapshot_jobs: u64,
-    log_records: u64,
-    /// The log cannot be appended to — an append or a fold failed, or a
-    /// fold left the log behind — so the next persist folds.
-    must_fold: bool,
-}
-
-/// What of the shared cache is on disk, in `cache.bin` and `cache.log`.
-struct Journal {
-    /// Cells inserted after this mark are not on disk yet.
-    mark: Mark,
-    /// The cache's length at `mark`. The cache only shrinks when the LRU
-    /// bound evicts, which folds and re-marks (and sets `must_fold`
-    /// until a fold succeeds), so otherwise the growth since `mark`
-    /// counts the cells not on disk.
-    len_at_mark: usize,
-    /// Records in `cache.bin` and in `cache.log`.
-    snapshot_records: u64,
-    log_records: u64,
-    /// The log cannot be appended to — `open` found it, an append
-    /// failed, or an eviction or a fold is unfinished — so the next
-    /// persist folds.
-    must_fold: bool,
 }
 
 /// The service core. All verbs are `&self` and thread-safe; the runner
@@ -232,7 +211,8 @@ pub struct Coordinator {
     inner: Mutex<Inner>,
     work: Condvar,
     cache: Arc<MeasurementCache>,
-    journal: Mutex<Journal>,
+    /// `cache.bin`, the shared cache's file.
+    cache_file: CacheFile,
 }
 
 /// Intern a per-tenant counter name: `hmpt_obs` counters key on
@@ -283,6 +263,14 @@ fn quarantine_unreadable(
     Ok(())
 }
 
+/// Remove an adopted file of an older state dir; one left behind is
+/// adopted again by the next `open`, which changes nothing.
+fn remove_adopted(path: &Path) {
+    if let Err(e) = std::fs::remove_file(path) {
+        hmpt_obs::warn("serve.state", format!("adopted {} not removed: {e}", path.display()));
+    }
+}
+
 fn tenant_ok(tenant: &str) -> bool {
     !tenant.is_empty()
         && tenant.len() <= 64
@@ -291,13 +279,13 @@ fn tenant_ok(tenant: &str) -> bool {
 
 impl Coordinator {
     /// Open (or create) a state directory and adopt whatever it holds:
-    /// the queue snapshot is reloaded and `queue.log` replayed over it,
-    /// mid-flight jobs are re-queued, and the shared cache is preloaded
-    /// from `cache.bin`, then from `cache.log`; each journal found is
-    /// then folded away. An unreadable cache file is a cold start with a
-    /// warning, not a refusal to serve — matching the fleet's
-    /// cache-preload contract; an unreadable queue file is renamed
-    /// aside, and the queue starts without what it held.
+    /// `queue.log` is replayed over an empty queue, mid-flight jobs are
+    /// re-queued, and the shared cache is preloaded from `cache.bin`; an
+    /// older state dir's `queue.json` and `cache.log` are adopted and
+    /// removed (see the module docs). An unreadable cache file is a cold
+    /// start with a warning, not a refusal to serve — matching the
+    /// fleet's cache-preload contract; an unreadable queue file is
+    /// renamed aside, and the queue starts without what it held.
     pub fn open(cfg: CoordinatorConfig) -> Result<Coordinator, ServeError> {
         std::fs::create_dir_all(cfg.state_dir.join("reports")).map_err(|e| {
             ServeError::Internal(format!("create {}: {e}", cfg.state_dir.display()))
@@ -305,42 +293,40 @@ impl Coordinator {
 
         let queue_config = QueueConfig { tenant_quota: cfg.tenant_quota };
         let mut queue = JobQueue::new(queue_config);
-        let mut snapshot_jobs = 0;
-        let queue_path = cfg.state_dir.join(QUEUE_JSON);
-        if queue_path.exists() {
-            let bytes = std::fs::read(&queue_path)
-                .map_err(|e| ServeError::Internal(format!("{}: {e}", queue_path.display())))?;
+        let old_queue = cfg.state_dir.join(QUEUE_JSON);
+        let mut adopt_old_queue = false;
+        if old_queue.exists() {
+            let bytes = std::fs::read(&old_queue)
+                .map_err(|e| ServeError::Internal(format!("{}: {e}", old_queue.display())))?;
             let parsed = std::str::from_utf8(&bytes).map_err(|e| e.to_string()).and_then(|text| {
                 serde_json::from_str::<QueueSnapshot>(text).map_err(|e| e.to_string())
             });
             match parsed {
                 Ok(snapshot) => {
-                    snapshot_jobs = snapshot.jobs.len() as u64;
-                    queue = JobQueue::restore(snapshot, queue_config);
+                    (queue, adopt_old_queue) = (JobQueue::restore(snapshot, queue_config), true)
                 }
-                // The next fold would overwrite the file and every job it
-                // names, so move it aside for an operator.
-                Err(e) => quarantine_unreadable(&queue_path, "queue snapshot", &e)?,
+                // Adoption removes the file, so move it aside for an
+                // operator instead.
+                Err(e) => quarantine_unreadable(&old_queue, "queue snapshot", &e)?,
             }
         }
         let log_path = cfg.state_dir.join(QUEUE_LOG);
-        let had_queue_log = log_path.exists();
-        if had_queue_log {
-            match store::read_lines::<JobRecord>(&log_path) {
-                Ok((records, skipped)) => {
-                    records.into_iter().for_each(|record| queue.replay(record));
-                    if skipped > 0 {
-                        hmpt_obs::warn(
-                            "serve.state",
-                            format!(
-                                "queue journal {}: {skipped} damaged record(s) skipped",
-                                log_path.display()
-                            ),
-                        );
-                    }
+        let mut log_records = 0;
+        match store::read_lines::<JobRecord>(&log_path) {
+            Ok((records, skipped)) => {
+                log_records = records.len() as u64 + skipped;
+                records.into_iter().for_each(|record| queue.replay(record));
+                if skipped > 0 {
+                    hmpt_obs::warn(
+                        "serve.state",
+                        format!(
+                            "queue log {}: {skipped} damaged record(s) skipped",
+                            log_path.display()
+                        ),
+                    );
                 }
-                Err(e) => quarantine_unreadable(&log_path, "queue journal", &e)?,
             }
+            Err(e) => quarantine_unreadable(&log_path, "queue log", &e)?,
         }
         let adopted = queue.adopt_all();
         if adopted > 0 {
@@ -349,46 +335,40 @@ impl Coordinator {
                 format!("re-queued {adopted} job(s) interrupted mid-flight"),
             );
         }
-        let queue_files = QueueFiles { snapshot_jobs, log_records: 0, must_fold: false };
+        // The log holds a record of every job, so at least the records
+        // past one per job were appended since its last rewrite.
+        let log_room = (2 * queue.snapshot().jobs.len() as u64).saturating_sub(log_records);
 
         let cache = Arc::new(MeasurementCache::new());
-        let snapshot =
-            store::preload(&cache, &cfg.state_dir.join(CACHE_BIN), "serve.cache", "shared cache");
-        let log = cfg.state_dir.join(CACHE_LOG);
-        let had_log = log.exists();
-        if had_log {
-            store::preload(&cache, &log, "serve.cache", "shared cache journal");
+        let (cache_file, _) =
+            CacheFile::open(cfg.state_dir.join(CACHE_BIN), &cache, "serve.cache", "shared cache");
+        let old_cache_log = cfg.state_dir.join(CACHE_LOG);
+        if old_cache_log.exists() {
+            store::preload(&cache, &old_cache_log, "serve.cache", "shared cache journal");
+            match cache_file.persist(&cache, cfg.cache_max_records) {
+                Ok(_) => remove_adopted(&old_cache_log),
+                Err(e) => hmpt_obs::warn("serve.cache", format!("{CACHE_LOG} not adopted: {e}")),
+            }
         }
-        let journal = Journal {
-            mark: cache.mark(),
-            len_at_mark: cache.len(),
-            snapshot_records: snapshot.map_or(0, |r| r.loaded),
-            log_records: 0,
-            must_fold: had_log,
-        };
 
         hmpt_obs::gauge("queue.depth").set(queue.depth() as u64);
         let coordinator = Coordinator {
             cfg,
             inner: Mutex::new(Inner {
                 queue,
-                queue_files,
+                log_room,
                 draining: false,
                 enqueued_at: BTreeMap::new(),
             }),
             work: Condvar::new(),
             cache,
-            journal: Mutex::new(journal),
+            cache_file,
         };
-        // Fold the replayed logs away, so nothing is ever appended after
-        // a tail a crash may have torn.
-        if had_queue_log {
-            if let Err(e) = coordinator.fold_queue(&mut coordinator.inner.lock().unwrap()) {
-                hmpt_obs::warn("serve.state", format!("queue journal not folded: {e}"));
+        if adopt_old_queue {
+            match coordinator.rewrite_queue(&mut coordinator.inner.lock().unwrap()) {
+                Ok(()) => remove_adopted(&old_queue),
+                Err(e) => hmpt_obs::warn("serve.state", format!("{QUEUE_JSON} not adopted: {e}")),
             }
-        }
-        if had_log {
-            coordinator.persist_cache(false);
         }
         Ok(coordinator)
     }
@@ -528,20 +508,13 @@ impl Coordinator {
                     self.work.wait_timeout(inner, Duration::from_millis(200)).unwrap();
             }
         }
-        // Drained: fold the queue's and the cache's journals, then the
-        // caller may exit. Queued jobs survive for the next open().
-        let mut inner = self.inner.lock().unwrap();
-        let queued = inner.queue.depth();
-        let persist = self.fold_queue(&mut inner);
-        drop(inner);
-        self.persist_cache(true);
-        match persist {
-            Ok(()) => hmpt_obs::info(
-                "serve.drain",
-                format!("drained; {queued} queued job(s) persisted for the next start"),
-            ),
-            Err(e) => hmpt_obs::warn("serve.drain", format!("drained, but: {e}")),
-        }
+        // Drained: every verb persisted its change, so the caller may
+        // exit. Queued jobs survive for the next open().
+        let queued = self.inner.lock().unwrap().queue.depth();
+        hmpt_obs::info(
+            "serve.drain",
+            format!("drained; {queued} queued job(s) persisted for the next start"),
+        );
     }
 
     /// Claim and execute at most one queued job (one step of
@@ -576,108 +549,35 @@ impl Coordinator {
     }
 
     /// Persist job `id`'s new state: append its record to `queue.log`,
-    /// or fold (see the module docs).
+    /// or rewrite the log (see the module docs).
     fn persist_queue(&self, inner: &mut Inner, id: u64) -> Result<(), ServeError> {
-        let files = &mut inner.queue_files;
-        if !files.must_fold && files.log_records < files.snapshot_jobs {
+        if inner.log_room > 0 {
             let log = self.cfg.state_dir.join(QUEUE_LOG);
             let record = inner.queue.get(id).expect("a persisted job is in the queue");
             match store::append_line(&log, record) {
                 Ok(()) => {
-                    files.log_records += 1;
+                    inner.log_room -= 1;
                     return Ok(());
                 }
                 Err(e) => hmpt_obs::warn(
                     "serve.state",
-                    format!("queue journal append failed, folding instead: {}: {e}", log.display()),
+                    format!("queue log append failed, rewriting: {}: {e}", log.display()),
                 ),
             }
         }
-        self.fold_queue(inner)
+        self.rewrite_queue(inner)
     }
 
-    /// Rewrite `queue.json` from the queue, then delete `queue.log`. The
-    /// queue is on disk once `queue.json` is; a log left behind keeps the
-    /// next persist folding, and replays harmlessly
-    /// ([`JobQueue::replay`]).
-    fn fold_queue(&self, inner: &mut Inner) -> Result<(), ServeError> {
-        inner.queue_files.must_fold = true;
-        let snapshot = inner.queue.snapshot();
-        let json = serde_json::to_string_pretty(&snapshot)
-            .map_err(|e| ServeError::Internal(format!("serialize queue snapshot: {e}")))?;
-        let path = self.cfg.state_dir.join(QUEUE_JSON);
-        store::write_atomic(&path, json.as_bytes())
-            .map_err(|e| ServeError::Internal(format!("{}: {e}", path.display())))?;
+    /// Rewrite `queue.log` with one record per job. Until a rewrite
+    /// succeeds, every persist rewrites.
+    fn rewrite_queue(&self, inner: &mut Inner) -> Result<(), ServeError> {
+        inner.log_room = 0;
+        let jobs = inner.queue.snapshot().jobs;
         let log = self.cfg.state_dir.join(QUEUE_LOG);
-        let removed = match std::fs::remove_file(&log) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                hmpt_obs::warn("serve.state", format!("{}: {e}", log.display()));
-                false
-            }
-            _ => true,
-        };
-        inner.queue_files = QueueFiles {
-            snapshot_jobs: snapshot.jobs.len() as u64,
-            log_records: 0,
-            must_fold: !removed,
-        };
+        store::write_lines(&log, &jobs)
+            .map_err(|e| ServeError::Internal(format!("{}: {e}", log.display())))?;
+        inner.log_room = jobs.len() as u64;
         Ok(())
-    }
-
-    /// Bring the cache's files up to date: evict to the LRU bound, then
-    /// append the cells added since the last persist to `cache.log`, or
-    /// fold (see the module docs). `draining` folds whatever is pending.
-    fn persist_cache(&self, draining: bool) {
-        let mut journal = self.journal.lock().expect("journal lock poisoned");
-        if self.cfg.cache_max_records.is_some_and(|max| self.cache.compact(max as usize) > 0) {
-            journal.must_fold = true;
-        }
-        let log = self.cfg.state_dir.join(CACHE_LOG);
-        if !journal.must_fold {
-            let added = (self.cache.len() - journal.len_at_mark) as u64;
-            if added == 0 && (!draining || journal.log_records == 0) {
-                return;
-            }
-            if !draining && journal.log_records + added <= journal.snapshot_records {
-                let mark = self.cache.mark();
-                match store::append(&log, &self.cache.added_since(journal.mark)) {
-                    Ok(saved) => {
-                        journal.log_records += saved.saved;
-                        journal.mark = mark;
-                        journal.len_at_mark = self.cache.len();
-                        return;
-                    }
-                    Err(e) => hmpt_obs::warn(
-                        "serve.cache",
-                        format!("journal append failed, folding instead: {}: {e}", log.display()),
-                    ),
-                }
-            }
-        }
-
-        journal.must_fold = true;
-        let (mark, len) = (self.cache.mark(), self.cache.len());
-        let path = self.cfg.state_dir.join(CACHE_BIN);
-        let folded = store::save(&self.cache, &path)
-            .map_err(|e| format!("{}: {e}", path.display()))
-            .and_then(|saved| match std::fs::remove_file(&log) {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                    Err(format!("{}: {e}", log.display()))
-                }
-                _ => Ok(saved),
-            });
-        match folded {
-            Ok(saved) => {
-                *journal = Journal {
-                    mark,
-                    len_at_mark: len,
-                    snapshot_records: saved.saved,
-                    log_records: 0,
-                    must_fold: false,
-                }
-            }
-            Err(e) => hmpt_obs::warn("serve.cache", format!("shared cache not folded: {e}")),
-        }
     }
 
     /// One job, end to end. State transitions persist as they happen,
@@ -725,7 +625,9 @@ impl Coordinator {
         let merge_started = Instant::now();
         {
             let _m = hmpt_obs::span_with("serve.merge", || format!("job {id}"));
-            self.persist_cache(false);
+            if let Err(e) = self.cache_file.persist(&self.cache, self.cfg.cache_max_records) {
+                hmpt_obs::warn("serve.cache", format!("shared cache not saved: {e}"));
+            }
         }
         let merge_s = merge_started.elapsed().as_secs_f64();
 

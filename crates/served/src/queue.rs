@@ -1,5 +1,5 @@
 //! The job queue: priorities, per-tenant admission quotas,
-//! cancellation, and a durable JSON snapshot.
+//! cancellation, and crash recovery from a log of job records.
 //!
 //! Ordering is priority-first (higher runs earlier), submission-order
 //! within a priority — so a tenant cannot starve the queue by
@@ -9,14 +9,14 @@
 //! counts admissions, not completed history, so a tenant's slot frees
 //! the moment a job reaches a terminal state.
 //!
-//! The queue is durable as a snapshot plus a journal. Each mutation's
-//! changed [`JobRecord`] is appended to the coordinator's journal, a
-//! store line log; from time to time the coordinator *folds* it into
-//! one JSON document ([`QueueSnapshot`], written through the store's
-//! temp + rename idiom). Crash recovery reloads the snapshot
-//! ([`JobQueue::restore`]), replays the journal over it
-//! ([`JobQueue::replay`]), and re-queues whatever was mid-flight
-//! ([`JobQueue::adopt_all`]).
+//! The queue is durable as one store line log. Each mutation's changed
+//! [`JobRecord`] is appended to the coordinator's `queue.log`, and from
+//! time to time the coordinator rewrites the log with one record per
+//! job. Crash recovery replays the log over an empty queue
+//! ([`JobQueue::replay`]) and re-queues whatever was mid-flight
+//! ([`JobQueue::adopt_all`]). An older state dir also holds the queue as
+//! one JSON document ([`QueueSnapshot`], `queue.json`) with the log as
+//! its journal; [`JobQueue::restore`] reads it before the replay.
 
 use std::collections::BTreeMap;
 
@@ -64,8 +64,9 @@ impl std::fmt::Display for QueueError {
 
 impl std::error::Error for QueueError {}
 
-/// The durable form of the queue: every record ever admitted (terminal
-/// ones included — they are the status history) plus the id counter.
+/// The queue as one JSON document, as an older state dir's `queue.json`
+/// holds it: every record ever admitted (terminal ones included — they
+/// are the status history) plus the id counter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueueSnapshot {
     /// Snapshot schema version, for forward-compatible state dirs.
@@ -171,7 +172,7 @@ impl JobQueue {
         self.jobs.values_mut().map(|j| u64::from(j.adopt())).sum()
     }
 
-    /// The durable snapshot of this queue.
+    /// This queue as one JSON document.
     pub fn snapshot(&self) -> QueueSnapshot {
         QueueSnapshot {
             version: SNAPSHOT_VERSION,
@@ -187,15 +188,16 @@ impl JobQueue {
         JobQueue { next_id: snapshot.next_id.max(floor), jobs, config }
     }
 
-    /// Apply one journaled record over a restored queue (the restart
-    /// path, in journal order): the record replaces its job's, so the
-    /// last one wins. A record behind its job on the state graph is
-    /// ignored. A fold writes the snapshot and then deletes the journal,
-    /// so a crash between the two leaves records the snapshot already
-    /// covers, and they must not move a finished job back. The one
-    /// backward edge, adoption, is never journaled, and a reopen adopts
-    /// `Running` and `Merging` alike, so ignoring a re-claimed job's
-    /// `Running` behind its adopted `Merging` changes nothing.
+    /// Apply one logged record (the restart path, in log order): the
+    /// record replaces its job's, so the last one wins. A record behind
+    /// its job on the state graph is ignored. An older state dir's log
+    /// is a journal over its `queue.json`, which the old daemon's fold
+    /// rewrote before it deleted the journal, so a crash between the two
+    /// left records the snapshot already covers, and they must not move
+    /// a finished job back. The one backward edge, adoption, is never
+    /// logged, and a reopen adopts `Running` and `Merging` alike, so
+    /// ignoring a re-claimed job's `Running` behind its adopted
+    /// `Merging` changes nothing.
     pub fn replay(&mut self, record: JobRecord) {
         if self.jobs.get(&record.id).is_some_and(|held| stage(record.state) < stage(held.state)) {
             return;

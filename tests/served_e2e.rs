@@ -7,12 +7,13 @@
 //! once at any worker count; tenant quotas reject typed while
 //! other tenants proceed; and a state dir that died mid-flight is
 //! adopted and completed on restart, unless its spec no longer matches
-//! its admission fingerprint. The shared cache's journal
-//! (`cache.log`) holds exactly each job's new cells, is replayed after a
-//! crash, never restores a cell the LRU bound evicted, and is not
-//! written by a warm job; the queue's journal (`queue.log`) holds
-//! exactly each job's state changes; an unreadable `queue.json` is
-//! moved aside. A second job on the same machine × workloads reads its
+//! its admission fingerprint. The shared cache's file (`cache.bin`)
+//! takes exactly each job's new cells as an append, reloads them after
+//! a crash, is rewritten whole by a job that evicts or that follows a
+//! torn append, and is not written by a warm job; the queue's log
+//! (`queue.log`) takes exactly each job's state changes; an older state
+//! dir's `queue.json` and `cache.log` are adopted, or moved aside when
+//! unreadable. A second job on the same machine × workloads reads its
 //! profiles from the shared cache's memo, and a verify re-run never
 //! consults it.
 
@@ -24,7 +25,7 @@ use hmpt_core::scenario::MatrixReport;
 use hmpt_core::store;
 use hmpt_fleet::api::{self, Request, Response};
 use hmpt_fleet::spec::CampaignSpec;
-use hmpt_served::queue::{JobQueue, QueueConfig, QueueSnapshot};
+use hmpt_served::queue::{JobQueue, QueueConfig};
 use hmpt_served::state::{JobRecord, JobState, JobStats};
 use hmpt_served::{Client, ClientError, Coordinator, CoordinatorConfig, ErrorKind, Server};
 
@@ -394,43 +395,62 @@ fn a_second_job_on_the_same_machine_and_workload_profiles_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A job that adds fewer cells than the snapshot holds appends exactly
-/// those cells to `cache.log`; a daemon that dies without draining
-/// replays the log on reopen, folds it away, and answers both jobs
-/// again without simulating.
+/// The names in a state dir, sorted.
+fn state_files(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("state dir")
+        .map(|entry| entry.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// The record count `cache.bin`'s header declares: the records its last
+/// rewrite wrote.
+fn declared_records(bin: &std::path::Path) -> u64 {
+    let bytes = std::fs::read(bin).expect("cache.bin");
+    u64::from_le_bytes(bytes[16..24].try_into().expect("a 32-byte header"))
+}
+
+/// A job that adds fewer cells than `cache.bin`'s last rewrite holds
+/// appends exactly those cells to it and leaves the file's first bytes
+/// be; a daemon that dies without draining reopens with the whole cache,
+/// writes nothing at the open, and answers both jobs again without
+/// simulating.
 #[test]
 fn a_crashed_daemon_replays_its_cache_journal() {
     let _telemetry = shared_telemetry();
     let dir = temp_dir("journal-crash");
-    let (bin, log) = (dir.join("cache.bin"), dir.join("cache.log"));
+    let bin = dir.join("cache.bin");
     let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("open");
     let cold = run_to_completion(&coordinator, SPEC_MG_IS);
-    assert!(!log.exists(), "with no cache.bin yet, the first job folds");
-    assert_eq!(file_len(&bin), 32 + 64 * cold.simulated_cells);
+    let snapshot = std::fs::read(&bin).expect("with no cache.bin yet, the first job rewrites");
+    assert_eq!(snapshot.len() as u64, 32 + 64 * cold.simulated_cells);
 
     let other_seed = spec_mg_at_seed(17);
     let added = run_to_completion(&coordinator, &other_seed).simulated_cells;
     assert!(0 < added && added < cold.simulated_cells, "{added} vs {}", cold.simulated_cells);
-    assert_eq!(file_len(&log), 32 + 64 * added, "the log holds exactly the job's new cells");
-    assert_eq!(file_len(&bin), 32 + 64 * cold.simulated_cells, "an append leaves cache.bin be");
+    let appended = std::fs::read(&bin).expect("cache.bin");
+    assert_eq!(appended.len() as u64, 32 + 64 * (cold.simulated_cells + added));
+    assert!(appended.starts_with(&snapshot), "an append leaves the file's first bytes be");
 
     let len = coordinator.cache_len();
     drop(coordinator); // no drain: the process dies here
     let reopened = Coordinator::open(CoordinatorConfig::new(&dir)).expect("reopen");
-    assert_eq!(reopened.cache_len(), len, "snapshot + journal replay the whole cache");
-    assert!(!log.exists(), "open folds a replayed journal");
-    assert_eq!(file_len(&bin), 32 + 64 * len as u64);
+    assert_eq!(reopened.cache_len(), len, "the snapshot and its appends load the whole cache");
+    assert_eq!(std::fs::read(&bin).expect("cache.bin"), appended, "open writes nothing");
     for spec in [SPEC_MG_IS, other_seed.as_str()] {
         assert_eq!(run_to_completion(&reopened, spec).simulated_cells, 0, "{spec}");
     }
+    assert_eq!(state_files(&dir), ["cache.bin", "queue.log", "reports"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A job the LRU bound makes evict folds instead of appending, so the
-/// journal never brings an evicted cell back: a reopened cache holds at
-/// most the bound. The evicting job re-reads every cell of the first
-/// job, so the bound evicts the appended job's cells — exactly the ones
-/// a left-over log would restore.
+/// A job the LRU bound makes evict rewrites `cache.bin` instead of
+/// appending, so an appended cell the bound evicted never comes back: a
+/// reopened cache holds at most the bound. The evicting job re-reads
+/// every cell of the first job, so the bound evicts the appended job's
+/// cells — exactly the ones the file's appended records hold.
 #[test]
 fn an_evicting_job_folds_so_the_journal_never_restores_evicted_cells() {
     let _telemetry = shared_telemetry();
@@ -447,19 +467,26 @@ fn an_evicting_job_folds_so_the_journal_never_restores_evicted_cells() {
     let _ = std::fs::remove_dir_all(&probe_dir);
 
     let dir = temp_dir("evict");
-    let log = dir.join("cache.log");
+    let bin = dir.join("cache.bin");
     let mut config = CoordinatorConfig::new(&dir);
     config.cache_max_records = Some(bound);
     let coordinator = Coordinator::open(config.clone()).expect("open");
-    run_to_completion(&coordinator, SPEC_MG_IS);
+    let first = run_to_completion(&coordinator, SPEC_MG_IS).simulated_cells;
     run_to_completion(&coordinator, &other_seed);
-    assert!(log.exists(), "the second job fits the bound and is appended");
     assert_eq!(coordinator.cache_len() as u64, bound);
+    assert_eq!(
+        (file_len(&bin), declared_records(&bin)),
+        (32 + 64 * bound, first),
+        "the second job fits the bound and is appended"
+    );
 
     let added = run_to_completion(&coordinator, &superset).simulated_cells;
     assert!(added > 0, "the superset's third workload is new");
-    assert!(!log.exists(), "a job that evicts folds the journal away");
-    assert_eq!(file_len(&dir.join("cache.bin")), 32 + 64 * bound);
+    assert_eq!(
+        (file_len(&bin), declared_records(&bin)),
+        (32 + 64 * bound, bound),
+        "a job that evicts rewrites cache.bin to the bound"
+    );
     drop(coordinator);
 
     for max in [None, Some(bound)] {
@@ -471,16 +498,50 @@ fn an_evicting_job_folds_so_the_journal_never_restores_evicted_cells() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `cache.bin` cut inside its last appended record — a crash in the
+/// middle of an append — reopens with every other cell. The next job
+/// appends nothing after the torn record: it re-simulates the lost cell
+/// and rewrites the file whole.
+#[test]
+fn a_cache_file_cut_inside_an_append_is_rewritten_by_the_next_job() {
+    let _telemetry = shared_telemetry();
+    let dir = temp_dir("cut-append");
+    let bin = dir.join("cache.bin");
+    let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("open");
+    let first = run_to_completion(&coordinator, SPEC_MG_IS).simulated_cells;
+    let other_seed = spec_mg_at_seed(19);
+    run_to_completion(&coordinator, &other_seed);
+    let cells = coordinator.cache_len() as u64;
+    assert_eq!((file_len(&bin), declared_records(&bin)), (32 + 64 * cells, first));
+    drop(coordinator);
+    let bytes = std::fs::read(&bin).expect("cache.bin");
+    std::fs::write(&bin, &bytes[..bytes.len() - 17]).expect("cut cache.bin");
+
+    let reopened = Coordinator::open(CoordinatorConfig::new(&dir)).expect("reopen");
+    assert_eq!(reopened.cache_len() as u64, cells - 1, "the cut costs the torn record alone");
+    let rerun = run_to_completion(&reopened, &other_seed);
+    assert_eq!(rerun.simulated_cells, 1, "the torn record's cell is simulated again");
+    assert_eq!(
+        (file_len(&bin), declared_records(&bin)),
+        (32 + 64 * cells, cells),
+        "the job rewrote cache.bin whole"
+    );
+    drop(reopened);
+    let again = Coordinator::open(CoordinatorConfig::new(&dir)).expect("reopen");
+    assert_eq!(again.cache_len() as u64, cells);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A job that adds no cell does no cache I/O: `cache.bin` keeps its
-/// bytes and its inode, and no journal appears.
+/// bytes and its inode.
 #[test]
 fn a_warm_job_writes_nothing() {
     let _telemetry = shared_telemetry();
     let dir = temp_dir("warm-nothing");
-    let (bin, log) = (dir.join("cache.bin"), dir.join("cache.log"));
+    let bin = dir.join("cache.bin");
     let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("open");
     run_to_completion(&coordinator, SPEC_MG);
-    let before = std::fs::read(&bin).expect("the cold job folded");
+    let before = std::fs::read(&bin).expect("the cold job wrote cache.bin");
     #[cfg(unix)]
     let inode = || std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(&bin).expect("stat"));
     #[cfg(unix)]
@@ -490,12 +551,12 @@ fn a_warm_job_writes_nothing() {
     assert_eq!(std::fs::read(&bin).expect("cache.bin"), before);
     #[cfg(unix)]
     assert_eq!(inode(), first_inode, "cache.bin was rewritten");
-    assert!(!log.exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An unreadable `queue.json` is renamed aside, not overwritten by the
-/// next persist, and a second one never overwrites the first.
+/// An unreadable `queue.json` of an older state dir is renamed aside,
+/// never overwritten or removed, and a second one never overwrites the
+/// first. No `queue.json` is written: the jobs live in `queue.log`.
 #[test]
 fn an_unreadable_queue_snapshot_is_quarantined_not_overwritten() {
     let _telemetry = shared_telemetry();
@@ -510,55 +571,117 @@ fn an_unreadable_queue_snapshot_is_quarantined_not_overwritten() {
     drop(coordinator);
     let first = dir.join("queue.json.corrupt.1");
     assert_eq!(std::fs::read(&first).expect("quarantined file"), garbage);
-    assert!(std::fs::read_to_string(&queue).expect("a fresh queue.json").contains("jobs"));
+    assert!(!queue.exists(), "queue.json was written");
 
     let not_utf8: &[u8] = b"\xff\xfe not text";
     std::fs::write(&queue, not_utf8).expect("write queue.json");
-    Coordinator::open(CoordinatorConfig::new(&dir)).expect("cold start");
+    let reopened = Coordinator::open(CoordinatorConfig::new(&dir)).expect("cold start");
     assert_eq!(std::fs::read(&first).expect("first quarantine"), garbage);
     assert_eq!(
         std::fs::read(dir.join("queue.json.corrupt.2")).expect("second quarantine"),
         not_utf8
     );
+    assert!(!queue.exists(), "queue.json was written");
+    let states: Vec<JobState> =
+        reopened.status(None).expect("status").jobs.iter().map(|j| j.state).collect();
+    assert_eq!(states, [JobState::Completed], "queue.log's job survives the quarantine");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// On a daemon whose `queue.json` already holds a few jobs, a warm job
-/// leaves `queue.json`'s bytes be and appends exactly its own four state
-/// changes to `queue.log`; a drain folds the log into `queue.json`.
+/// A served job appends exactly its own four state changes to
+/// `queue.log` and leaves the log's earlier bytes be, after a restart
+/// too; a drain writes nothing.
 #[test]
 fn a_served_job_appends_its_state_changes_to_the_queue_journal() {
     let _telemetry = shared_telemetry();
     let dir = temp_dir("queue-journal");
-    let (snapshot, log) = (dir.join("queue.json"), dir.join("queue.log"));
-    let drain = |coordinator: &Coordinator| {
-        coordinator.drain();
-        coordinator.run();
-        assert!(!log.exists(), "a drain folds the journal away");
-    };
+    let log = dir.join("queue.log");
     let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("open");
-    for _ in 0..4 {
+    // The fifth job's last change rewrites the log with its five jobs,
+    // which leaves room for five appends.
+    for _ in 0..5 {
         run_to_completion(&coordinator, SPEC_MG);
     }
-    drain(&coordinator);
     drop(coordinator);
 
     let coordinator = Coordinator::open(CoordinatorConfig::new(&dir)).expect("reopen");
-    let before = std::fs::read(&snapshot).expect("queue.json");
+    let before = std::fs::read(&log).expect("queue.log");
+    #[cfg(unix)]
+    let inode = || std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(&log).expect("stat"));
+    #[cfg(unix)]
+    let first_inode = inode();
+    let (earlier, _) = store::read_lines::<JobRecord>(&log).expect("queue.log");
     let (job, _) = coordinator.submit("ci", 0, SPEC_MG).expect("admitted");
     coordinator.run_until_idle();
-    assert_eq!(std::fs::read(&snapshot).expect("queue.json"), before, "queue.json was rewritten");
+    let after = std::fs::read(&log).expect("queue.log");
+    assert!(after.starts_with(&before), "queue.log was rewritten");
+    #[cfg(unix)]
+    assert_eq!(inode(), first_inode, "queue.log was rewritten");
     let (records, skipped) = store::read_lines::<JobRecord>(&log).expect("queue.log");
     assert_eq!(skipped, 0);
-    let changes: Vec<(u64, JobState)> = records.iter().map(|r| (r.id, r.state)).collect();
+    let changes: Vec<(u64, JobState)> =
+        records[earlier.len()..].iter().map(|r| (r.id, r.state)).collect();
     let expected = [JobState::Queued, JobState::Running, JobState::Merging, JobState::Completed];
     assert_eq!(changes, expected.map(|state| (job, state)));
     assert_eq!(records.last().and_then(|r| r.stats), Some(stats_of(&coordinator, job)));
 
-    drain(&coordinator);
-    let text = std::fs::read_to_string(&snapshot).expect("queue.json");
-    let folded: QueueSnapshot = serde_json::from_str(&text).expect("queue.json parses");
-    assert_eq!(folded.jobs.len(), 5);
-    assert!(folded.jobs.iter().all(|j| j.state == JobState::Completed), "{folded:?}");
+    coordinator.drain();
+    coordinator.run();
+    assert_eq!(std::fs::read(&log).expect("queue.log"), after, "the drain wrote queue.log");
+    assert_eq!(state_files(&dir), ["cache.bin", "queue.log", "reports"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An older state dir — `queue.json` with a `queue.log` journal that
+/// holds one record a fold already covered, and `cache.bin` with a
+/// `cache.log` journal — reopens with every job and every cell, and
+/// then holds only the current files, which alone reopen the same.
+#[test]
+fn an_older_state_dir_is_adopted_with_every_job_and_every_cell() {
+    let _telemetry = shared_telemetry();
+    // Two completed jobs and their cells, from a current daemon.
+    let probe_dir = temp_dir("old-layout-probe");
+    let probe = Coordinator::open(CoordinatorConfig::new(&probe_dir)).expect("open");
+    let other_seed = spec_mg_at_seed(31);
+    for spec in [SPEC_MG, other_seed.as_str()] {
+        run_to_completion(&probe, spec);
+    }
+    let cells = probe.cache_len();
+    drop(probe);
+    let (cache, _) = store::load(probe_dir.join("cache.bin")).expect("cache.bin");
+    let (records, _) =
+        store::read_lines::<JobRecord>(&probe_dir.join("queue.log")).expect("queue.log");
+    let _ = std::fs::remove_dir_all(&probe_dir);
+
+    // The same state in the older layout.
+    let dir = temp_dir("old-layout");
+    std::fs::create_dir_all(&dir).expect("state dir");
+    let mut queue = JobQueue::new(QueueConfig::default());
+    records.into_iter().for_each(|record| queue.replay(record));
+    let snapshot = serde_json::to_string(&queue.snapshot()).expect("serialize");
+    std::fs::write(dir.join("queue.json"), snapshot).expect("write queue.json");
+    let mut covered = queue.get(1).expect("job 1").clone();
+    (covered.state, covered.stats) = (JobState::Running, None);
+    store::append_line(&dir.join("queue.log"), &covered).expect("write queue.log");
+    let mut entries = cache.entries();
+    entries.sort_by_key(|(key, _)| *key);
+    let (snapshotted, journaled) = entries.split_at(entries.len() / 2);
+    let old_bin = hmpt_core::MeasurementCache::new();
+    snapshotted.iter().for_each(|(key, value)| old_bin.insert(*key, value.clone()));
+    store::save(&old_bin, dir.join("cache.bin")).expect("write cache.bin");
+    store::append(dir.join("cache.log"), journaled).expect("write cache.log");
+
+    for open in ["adopting", "current"] {
+        let reopened = Coordinator::open(CoordinatorConfig::new(&dir)).expect(open);
+        assert_eq!(reopened.cache_len(), cells, "{open} open");
+        let states: Vec<JobState> =
+            reopened.status(None).expect("status").jobs.iter().map(|j| j.state).collect();
+        assert_eq!(states, [JobState::Completed, JobState::Completed], "{open} open");
+        assert_eq!(state_files(&dir), ["cache.bin", "queue.log", "reports"], "{open} open");
+    }
+    let reopened = Coordinator::open(CoordinatorConfig::new(&dir)).expect("reopen");
+    for spec in [SPEC_MG, other_seed.as_str()] {
+        assert_eq!(run_to_completion(&reopened, spec).simulated_cells, 0, "{spec}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,8 +4,8 @@
 //! to typed [`Malformed`] errors (never a panic); a live TCP accept
 //! loop answers malformed lines with typed error frames while keeping
 //! the connection — and the daemon — alive; and a coordinator that dies
-//! without a drain, its queue journal cut or flipped, reopens with
-//! every persisted job state but the damaged one.
+//! without a drain, its queue log cut inside an append or flipped,
+//! reopens with every persisted job state but the damaged one.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -15,7 +15,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hmpt_core::store;
-use hmpt_served::queue::QueueSnapshot;
 use hmpt_served::state::{JobRecord, JobStats, JobStatus};
 use hmpt_served::wire::{
     self, ErrorKind, Malformed, RawFrame, StatusView, WireError, WireRequest, WireResponse,
@@ -331,7 +330,9 @@ fn arb_step() -> impl Strategy<Value = Step> {
 #[derive(Debug, Clone)]
 enum Damage {
     None,
-    /// Cut the log at this byte (modulo its length + 1).
+    /// Cut the log at this byte of the records appended since its last
+    /// rewrite (modulo their length + 1): a crash tears only an append,
+    /// since a rewrite is renamed into place whole.
     Cut(usize),
     /// XOR the mask into the log's byte at this index (modulo the count
     /// of bytes that are not line breaks, counting only those).
@@ -365,14 +366,6 @@ fn states_of(coordinator: &Coordinator) -> BTreeMap<u64, JobState> {
     coordinator.status(None).expect("status").jobs.iter().map(|j| (j.job, j.state)).collect()
 }
 
-/// The job records in `queue.json`; none if there is no file.
-fn snapshot_jobs(path: &std::path::Path) -> Vec<JobRecord> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => serde_json::from_str::<QueueSnapshot>(&text).expect("queue.json parses").jobs,
-        Err(_) => Vec::new(),
-    }
-}
-
 /// The byte range of each line of `bytes`, without its line break.
 fn line_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
@@ -399,20 +392,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random submit/run/cancel sequences, then a crash: the coordinator
-    /// is dropped without a drain, and its queue journal is maybe cut
-    /// at a random byte or has one byte flipped. `queue.log` holds
-    /// exactly the last acknowledged state changes and `queue.json`
-    /// every one before them. The reopened queue holds each job in its
-    /// last persisted state, mid-flight jobs adopted to `Queued`; damage
-    /// loses exactly the records it hits. After a drain, `queue.json`
-    /// alone holds the queue.
+    /// is dropped without a drain, and its queue log is maybe cut inside
+    /// the records appended since its last rewrite, or has one byte
+    /// flipped anywhere. The log holds a rewrite — one record per job,
+    /// as of some acknowledged state change — and then every change
+    /// since, never more of them than the rewrite's jobs. The reopened
+    /// queue holds each job in the state of its last record that
+    /// survived, mid-flight jobs adopted to `Queued`: damage loses
+    /// exactly the records it hits. Neither the open nor a drain writes
+    /// the log, and a job submitted after the damage reopens too.
     #[test]
     fn a_crashed_queue_reopens_with_every_persisted_job_state(
         steps in prop::collection::vec(arb_step(), 4..16),
         damage in arb_damage(),
     ) {
         let dir = crash_dir();
-        let (snapshot, log) = (dir.join("queue.json"), dir.join("queue.log"));
+        let log = dir.join("queue.log");
         let config = CoordinatorConfig { tenant_quota: 64, ..CoordinatorConfig::new(&dir) };
         let coordinator = Coordinator::open(config.clone()).expect("open");
         // Every acknowledged state change, in order.
@@ -447,23 +442,26 @@ proptest! {
 
         let (records, skipped) = store::read_lines::<JobRecord>(&log).expect("queue.log");
         prop_assert_eq!(skipped, 0);
-        prop_assert!(records.len() <= changes.len());
-        let folded = changes.len() - records.len();
         let logged: Vec<(u64, JobState)> = records.iter().map(|r| (r.id, r.state)).collect();
-        prop_assert_eq!(&logged[..], &changes[folded..]);
-        let on_disk = snapshot_jobs(&snapshot);
-        prop_assert_eq!(
-            on_disk.iter().map(|j| (j.id, j.state)).collect::<BTreeMap<_, _>>(),
-            last_states(&changes[..folded])
-        );
+        // The latest change k whose rewrite, followed by the changes
+        // after k, spells the log.
+        let rewritten = (0..=changes.len()).rev().find_map(|k| {
+            let rewrite: Vec<(u64, JobState)> = last_states(&changes[..k]).into_iter().collect();
+            let (head, tail) = logged.split_at(rewrite.len().min(logged.len()));
+            (head == &rewrite[..] && tail == &changes[k..]).then_some(rewrite.len())
+        });
+        prop_assert!(rewritten.is_some(), "{:?} is no rewrite plus appends of {:?}", logged, changes);
+        let rewritten = rewritten.expect("checked");
+        prop_assert!(logged.len() - rewritten <= rewritten, "more appends than jobs: {:?}", logged);
         drop(coordinator);
 
         let mut bytes = std::fs::read(&log).unwrap_or_default();
         let spans = line_spans(&bytes);
         prop_assert_eq!(spans.len(), records.len());
+        let appended_from = spans.get(rewritten).map_or(bytes.len(), |span| span.0);
         let survivors: Vec<usize> = match damage {
             Damage::Cut(at) if !bytes.is_empty() => {
-                let cut = at % (bytes.len() + 1);
+                let cut = appended_from + at % (bytes.len() - appended_from + 1);
                 bytes.truncate(cut);
                 (0..spans.len()).filter(|&i| spans[i].1 <= cut).collect()
             }
@@ -478,18 +476,22 @@ proptest! {
         if log.exists() {
             std::fs::write(&log, &bytes).expect("damage the log");
         }
-        let mut persisted = changes[..folded].to_vec();
-        persisted.extend(survivors.iter().map(|&i| changes[folded + i]));
+        let persisted: Vec<(u64, JobState)> = survivors.iter().map(|&i| logged[i]).collect();
 
-        let reopened = Coordinator::open(config).expect("reopen");
+        let reopened = Coordinator::open(config.clone()).expect("reopen");
         prop_assert_eq!(states_of(&reopened), adopted(last_states(&persisted)));
-        prop_assert!(!log.exists(), "open folds the journal it found");
+        prop_assert!(std::fs::read(&log).unwrap_or_default() == bytes, "the open wrote the log");
 
+        reopened.submit("t", 0, CRASH_SPEC).expect("admitted");
+        let statuses = reopened.status(None).expect("status").jobs;
+        let submitted_log = std::fs::read(&log).expect("queue.log");
         reopened.drain();
         reopened.run();
-        prop_assert!(!log.exists(), "a drain folds the journal away");
-        let statuses: Vec<JobStatus> = snapshot_jobs(&snapshot).iter().map(JobRecord::status).collect();
-        prop_assert_eq!(statuses, reopened.status(None).expect("status").jobs);
+        let drained = std::fs::read(&log).expect("queue.log");
+        prop_assert!(drained == submitted_log, "the drain wrote the log");
+        drop(reopened);
+        let again = Coordinator::open(config).expect("reopen");
+        prop_assert_eq!(again.status(None).expect("status").jobs, statuses);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

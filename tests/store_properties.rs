@@ -5,7 +5,8 @@
 //! and warm-start a real fleet run with zero new simulated cells.
 //! Journals built by `store::append` load to the union of their
 //! appends, with the same tolerance of cuts and flipped bytes and the
-//! same refusal of foreign key semantics.
+//! same refusal of foreign key semantics, and save-on-finish appends a
+//! run's new cells to the snapshot it preloaded.
 
 use hmpt_repro::core::cache::CellKey;
 use hmpt_repro::core::error::TunerError;
@@ -339,6 +340,50 @@ fn snapshot_warm_starts_a_fleet_with_zero_new_cells() {
             w.analysis.table2.usage_90_pct.to_bits()
         );
     }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Save-on-finish appends: a fleet that preloaded a snapshot and added
+/// fewer cells than the snapshot holds appends them after the
+/// snapshot's bytes, and a fresh fleet preloads every cell.
+#[test]
+fn save_on_finish_appends_fewer_cells_than_the_snapshot_holds() {
+    use hmpt_fleet::{Fleet, FleetConfig, TuningJob};
+    use hmpt_repro::core::measure::CampaignConfig;
+
+    let path = std::env::temp_dir().join(format!("hmpt-save-append-{}.bin", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let cfg = FleetConfig {
+        online_check: false,
+        cache_path: Some(path.clone()),
+        ..FleetConfig::default()
+    };
+    let mg = || TuningJob::new(hmpt_repro::workloads::npb::mg::workload());
+    // One run per configuration at another seed: a third of the cells,
+    // none of them the first job's.
+    let fewer = || {
+        mg().with_campaign(CampaignConfig {
+            runs_per_config: 1,
+            base_seed: 41,
+            ..CampaignConfig::default()
+        })
+    };
+
+    let cold = Fleet::new(cfg.clone());
+    cold.run(&[mg()]).unwrap();
+    let held = cold.cache().len() as u64;
+    let snapshot = std::fs::read(&path).unwrap();
+    let warm = Fleet::new(cfg.clone());
+    assert_eq!(warm.preloaded(), held);
+    let added = warm.run(&[fewer()]).unwrap().stats.cache.misses;
+    assert!(0 < added && added < held, "{added} vs {held}");
+    let appended = std::fs::read(&path).unwrap();
+    assert_eq!(appended.len() as u64, 32 + 64 * (held + added));
+    assert!(appended.starts_with(&snapshot), "the run rewrote the snapshot");
+
+    let fresh = Fleet::new(cfg);
+    assert_eq!(fresh.preloaded(), held + added);
+    assert_eq!(fresh.run(&[mg(), fewer()]).unwrap().stats.cache.misses, 0);
     std::fs::remove_file(&path).unwrap();
 }
 
